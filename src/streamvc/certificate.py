@@ -10,10 +10,12 @@ endpoints have fewer than 2k disjoint paths is captured outright by some
 subset that contains both endpoints and misses the separating vertices.
 
 Both an offline builder (exact union-find forests on the materialized
-graph) and a single-pass dynamic-stream certifier (sketch banks per
-subset) are provided; with the same seed they sample the same subsets
-and, when every extraction succeeds, induce the same per-subset
-component partitions.
+graph) and a single-pass dynamic-stream certifier (one sketch bank per
+subset, all banks' cells in one flat SketchStore) are provided; with the
+same seed they sample the same subsets and, when every extraction
+succeeds, induce the same per-subset component partitions. The dynamic
+certifier's byte footprint is a pure function of its parameters, so a
+space cap is enforced before any cell is allocated.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeMultiplicityError, SpaceExceededError
-from .forest import ForestSketchBank
-from .graph import EdgeSet, UnionFind, UpdateEvent, pair_key, validate_event
+from .errors import SpaceExceededError
+from .forest import ForestSketchBank, SketchStore, bank_bytes
+from .graph import EdgeSet, MultiGraph, UnionFind, UpdateEvent
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
 
@@ -173,10 +175,13 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
 class StreamCertifier:
     """Single-pass dynamic-stream certifier: one sketch bank per subset.
 
-    Bank state is allocated up front, so the measured byte footprint is a
-    pure function of the parameters and the optional cap aborts
-    deterministically. A multiplicity counter (validation bookkeeping,
-    not charged to the sketch space) enforces stream legality.
+    The banks' cells live in one SketchStore (three flat int64 arrays,
+    see streamvc.forest), and each event is folded into every bank that
+    holds both endpoints in one vectorized pass. The measured byte
+    footprint is a pure function of the parameters, so the optional cap
+    is checked before any cell is allocated. A MultiGraph of the stream
+    (validation bookkeeping, not charged to the sketch space) enforces
+    stream legality.
     """
 
     def __init__(
@@ -187,44 +192,29 @@ class StreamCertifier:
     ):
         self.params = params
         self.count_subset_bytes = count_subset_bytes
-        n, r = params.n, params.num_forests
-        self._matrix = np.zeros((r, n), dtype=bool)
-        self.banks: list[ForestSketchBank] = []
-        for i in range(r):
-            mask = subset_mask(params.subset_seed(i), n, params.k)
-            self._matrix[i] = mask
-            members = np.nonzero(mask)[0]
-            self.banks.append(
-                ForestSketchBank(
-                    n, members, params.resolved_delta, params.bank_seed(i)
-                )
-            )
-        self._mult: dict[tuple[int, int], int] = {}
-        self._sketch_bytes = sum(b.serialized_size() for b in self.banks)
-        self._subset_bytes = r * ((n + 7) // 8)
+        n, delta = params.n, params.resolved_delta
+        subsets = sample_subsets(params)
+        self._sketch_bytes = sum(bank_bytes(n, len(s), delta) for s in subsets)
+        self._subset_bytes = len(subsets) * ((n + 7) // 8)
         if space_cap_bytes is not None and self.measured_bytes() > space_cap_bytes:
             raise SpaceExceededError(
                 f"sketch state {self.measured_bytes()} bytes exceeds cap "
                 f"{space_cap_bytes}"
             )
+        self.banks = [
+            ForestSketchBank.planned(n, s, delta, params.bank_seed(i))
+            for i, s in enumerate(subsets)
+        ]
+        self.store = SketchStore(n, self.banks)
+        self._graph = MultiGraph(n)
 
     def measured_bytes(self) -> int:
         extra = self._subset_bytes if self.count_subset_bytes else 0
         return self._sketch_bytes + extra
 
     def update(self, e: UpdateEvent) -> "StreamCertifier":
-        validate_event(e, self.params.n)
-        key = pair_key(e.i, e.j)
-        new = self._mult.get(key, 0) + e.delta
-        if new < 0:
-            raise NegativeMultiplicityError(f"edge {key} would go negative")
-        if new == 0:
-            self._mult.pop(key, None)
-        else:
-            self._mult[key] = new
-        hit = np.nonzero(self._matrix[:, e.i] & self._matrix[:, e.j])[0]
-        for i in hit:
-            self.banks[i].update(e)
+        self._graph.apply(e)
+        self.store.update(e)
         return self
 
     def finalize(self) -> Certificate:

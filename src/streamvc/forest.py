@@ -9,6 +9,18 @@ the contraction samples. Rounds use independent sketch batteries so the
 randomness consumed by earlier merge decisions never biases later
 samples; components at least halve per successful round, so
 ceil(log2 n) + 1 rounds suffice.
+
+State layout. The cells of every bank live in one SketchStore: three flat
+int64 arrays (count, index sum, fingerprint). A bank owns one contiguous
+block of them, laid out [member, round, level, rep] with the bank's own
+repetition count, so the store is ragged and holds no padding. The cells
+of one (member, round) are exactly those of an
+L0Sketch(universe, sketch_delta, round_seed) fed that member's signed
+incidence updates: levels stay nested and each (bank, round) derives the
+seeds that sketch derives. An event is folded into all the banks holding
+both endpoints in one vectorized pass: one hash over [bank, round, rep],
+one z^index per (bank, round) and one fancy-indexed add per field and
+endpoint.
 """
 from __future__ import annotations
 
@@ -18,7 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EdgeSet, UnionFind, UpdateEvent, validate_event
-from .l0 import FAIL, L0Sketch, NonZeroIndex, PRIME, sample_cells
+from .l0 import (
+    FAIL,
+    PRIME,
+    L0Sketch,
+    NonZeroIndex,
+    deepest_levels,
+    level_count,
+    repetition_count,
+    sample_cells,
+    serialized_size,
+    sketch_seeds,
+)
 from .seeds import derive_seed
 
 
@@ -52,6 +75,27 @@ def round_count(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) + 1 if n > 1 else 1
 
 
+def pair_universe(n: int) -> int:
+    """Size of the edge-pair universe every sketch indexes."""
+    return max(1, n * (n - 1) // 2)
+
+
+def sketch_delta(n: int, member_count: int, delta: float) -> float:
+    """Per-sketch failure budget of a bank.
+
+    The bank delta is split over the at most rounds * |members| samples
+    an extraction can draw (union bound).
+    """
+    return min(0.5, delta / max(1, round_count(n) * member_count))
+
+
+def bank_bytes(n: int, member_count: int, delta: float) -> int:
+    """Serialized bytes of a bank's sketches, a pure function of its parameters."""
+    reps = repetition_count(sketch_delta(n, member_count, delta))
+    size = serialized_size(reps, level_count(pair_universe(n)))
+    return member_count * round_count(n) * size
+
+
 @dataclass
 class ForestExtraction:
     """Result of one extraction: the forest plus failure bookkeeping."""
@@ -68,15 +112,26 @@ class ForestExtraction:
 class ForestSketchBank:
     """Per-vertex sketch batteries for one induced subgraph's members.
 
-    The per-sketch failure budget is the bank delta split over the at
-    most t * |members| samples an extraction can draw (union bound).
+    A bank built directly owns a store of its own; the dynamic certifier
+    builds planned banks and lays them all out in one SketchStore.
     """
 
     def __init__(self, n: int, members, delta: float, seed: int):
+        self._plan(n, members, delta, seed)
+        SketchStore(n, [self])
+
+    @classmethod
+    def planned(cls, n: int, members, delta: float, seed: int) -> "ForestSketchBank":
+        """A bank with its layout and seeds but no cells until a store takes it."""
+        bank = cls.__new__(cls)
+        bank._plan(n, members, delta, seed)
+        return bank
+
+    def _plan(self, n: int, members, delta: float, seed: int) -> None:
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must be in (0,1), got {delta}")
         self.n = n
-        self.members = tuple(sorted(set(members)))
+        self.members = tuple(sorted(set(int(v) for v in members)))
         for v in self.members:
             if not (0 <= v < n):
                 raise ValueError(f"member {v} not in 0..{n - 1}")
@@ -84,42 +139,37 @@ class ForestSketchBank:
         self.delta = delta
         self.seed = seed
         self.rounds = round_count(n)
-        self.universe = max(1, n * (n - 1) // 2)
-        samples = max(1, self.rounds * len(self.members))
-        self._sketch_delta = min(0.5, delta / samples)
-        self._batteries: list[list[L0Sketch]] = []
-        for r in range(self.rounds):
-            round_seed = derive_seed(seed, "round", r)
-            self._batteries.append(
-                [
-                    L0Sketch(self.universe, self._sketch_delta, round_seed)
-                    for _ in self.members
-                ]
-            )
-        # per-round caches keyed by pair index: (active mask, z^index)
-        self._cache: list[dict[int, tuple[np.ndarray, int]]] = [
-            {} for _ in range(self.rounds)
-        ]
+        self.universe = pair_universe(n)
+        self.levels = level_count(self.universe)
+        self._sketch_delta = sketch_delta(n, len(self.members), delta)
+        self.reps = repetition_count(self._sketch_delta)
+        self._round_seeds = [derive_seed(seed, "round", r) for r in range(self.rounds)]
+        # (rep_seeds, subsample_seed, z) of each round, shared by all members
+        self._seeds = [sketch_seeds(s, self.reps) for s in self._round_seeds]
+        self._store: SketchStore | None = None
+        self._index = 0
+        self._offset = 0
+
+    @property
+    def cell_count(self) -> int:
+        return len(self.members) * self.rounds * self.levels * self.reps
+
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bank's counts, index sums and fingerprints as [member, round, level, rep] views."""
+        shape = (len(self.members), self.rounds, self.levels, self.reps)
+        cells = slice(self._offset, self._offset + self.cell_count)
+        store = self._store
+        return tuple(
+            a[cells].reshape(shape)
+            for a in (store.counts, store.index_sums, store.fingerprints)
+        )
 
     def update(self, e: UpdateEvent) -> "ForestSketchBank":
         """Fold one stream event in; no-op unless both endpoints are members."""
         validate_event(e, self.n)
-        lo_pos = self._member_pos.get(min(e.i, e.j))
-        hi_pos = self._member_pos.get(max(e.i, e.j))
-        if lo_pos is None or hi_pos is None:
-            return self
-        idx = pair_index(e.i, e.j, self.n)
-        for r in range(self.rounds):
-            battery = self._batteries[r]
-            cached = self._cache[r].get(idx)
-            if cached is None:
-                mask = battery[0].active_mask(idx)
-                zp = battery[0].zpow(idx)
-                self._cache[r][idx] = (mask, zp)
-            else:
-                mask, zp = cached
-            battery[lo_pos].apply_masked(mask, idx, e.delta, zp)
-            battery[hi_pos].apply_masked(mask, idx, -e.delta, zp)
+        lo, hi = min(e.i, e.j), max(e.i, e.j)
+        if lo in self._member_pos and hi in self._member_pos:
+            self._store.fold(np.array([self._index]), lo, hi, e.delta)
         return self
 
     def extract(self) -> ForestExtraction:
@@ -136,6 +186,7 @@ class ForestSketchBank:
         forest = EdgeSet(self.n)
         if len(members) <= 1:
             return ForestExtraction(forest, 0, 0)
+        blocks = self._blocks()
         uf = UnionFind(len(members))
         failures = 0
         rounds_used = 0
@@ -146,11 +197,24 @@ class ForestSketchBank:
             if len(comps) == 1:
                 break
             rounds_used += 1
-            battery = self._batteries[r]
+            cells = [b[:, r] for b in blocks]
+            # a member whose level-0 cells are all zero samples EMPTY
+            live = (
+                cells[0][:, 0].any(axis=1)
+                | cells[1][:, 0].any(axis=1)
+                | cells[2][:, 0].any(axis=1)
+            ).tolist()
+            z = self._seeds[r][2]
             sampled: list[tuple[int, int]] = []
             for root in sorted(comps):
                 positions = comps[root]
-                outcome = self._sample_component(battery, positions)
+                if len(positions) == 1:
+                    if not live[positions[0]]:
+                        continue
+                    counts, isums, fps = (c[positions[0]] for c in cells)
+                else:
+                    counts, isums, fps = _merged(cells, positions)
+                outcome = sample_cells(counts.T, isums.T, fps.T, z, self.universe)
                 if outcome is FAIL:
                     failures += 1
                 elif isinstance(outcome, NonZeroIndex):
@@ -166,26 +230,117 @@ class ForestSketchBank:
                     forest.add(u, v)
         return ForestExtraction(forest, failures, rounds_used)
 
-    def _sample_component(self, battery: list[L0Sketch], positions: list[int]):
-        if len(positions) == 1:
-            sk = battery[positions[0]]
-            return sample_cells(
-                sk.counts, sk.index_sums, sk.fingerprints, sk.z, sk.universe
-            )
-        first = battery[positions[0]]
-        counts = first.counts.copy()
-        isums = first.index_sums.copy()
-        fps = first.fingerprints.copy()
-        for pos in positions[1:]:
-            sk = battery[pos]
-            counts += sk.counts
-            isums += sk.index_sums
-            fps = (fps + sk.fingerprints) % PRIME
-        return sample_cells(counts, isums, fps, first.z, first.universe)
-
     def serialized_size(self) -> int:
-        return sum(sk.serialized_size() for bat in self._batteries for sk in bat)
+        return bank_bytes(self.n, len(self.members), self.delta)
 
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
-        """Direct access to one member's round battery (tests, demos)."""
-        return self._batteries[round_][self._member_pos[vertex]]
+        """A copy of one member's round sketch, as an L0Sketch (tests, demos)."""
+        pos = self._member_pos[vertex]
+        sk = L0Sketch(self.universe, self._sketch_delta, self._round_seeds[round_])
+        sk.counts, sk.index_sums, sk.fingerprints = (
+            b[pos, round_].T.copy() for b in self._blocks()
+        )
+        return sk
+
+
+def _merged(cells, positions: list[int]):
+    """Cell-wise sum of the members' [level, rep] cells; fingerprints mod PRIME."""
+    counts, isums, fps = (c[positions[0]].copy() for c in cells)
+    for added, pos in enumerate(positions[1:], 1):
+        counts += cells[0][pos]
+        isums += cells[1][pos]
+        fps += cells[2][pos]
+        if added % 3 == 0:
+            # a reduced sum plus three fingerprints, each < PRIME < 2^61, fits in int64
+            fps %= PRIME
+    fps %= PRIME
+    return counts, isums, fps
+
+
+class SketchStore:
+    """The cells of many forest banks in three flat int64 arrays.
+
+    See the module docstring for the layout. Cells are allocated with
+    np.zeros and never pre-touched, so pages of cells no event reaches
+    stay unbacked. Per-row tables, one row per (bank, round, rep), hold
+    what the vectorized update needs: the repetition seed, the
+    subsampling seed, and the cell of member 0 at level 0.
+    """
+
+    def __init__(self, n: int, banks: list[ForestSketchBank]):
+        self.n = n
+        # _slot[v, b]: position of vertex v among bank b's members, or -1
+        self._slot = np.full((n, len(banks)), -1, dtype=np.int64)
+        self._z: list[list[int]] = []
+        rep_seeds, sub_seeds, row_cells = [], [], []
+        offset = 0
+        for b, bank in enumerate(banks):
+            bank._store, bank._index, bank._offset = self, b, offset
+            self._slot[list(bank.members), b] = np.arange(len(bank.members))
+            per_round = bank.levels * bank.reps
+            for r, (reps_seeds, sub_seed, _) in enumerate(bank._seeds):
+                rep_seeds.append(reps_seeds)
+                sub_seeds.append(np.full(bank.reps, sub_seed, dtype=np.uint64))
+                row_cells.append(offset + r * per_round + np.arange(bank.reps))
+            self._z.append([z for _, _, z in bank._seeds])
+            offset += bank.cell_count
+        self._rounds = round_count(n)
+        self._levels = level_count(pair_universe(n))
+        self._reps = np.array([bank.reps for bank in banks], dtype=np.int64)
+        self._rows = self._rounds * self._reps
+        self._row_start = np.cumsum(self._rows) - self._rows
+        self._member_stride = self._levels * self._rows
+        self._rep_seeds = np.concatenate(rep_seeds)
+        self._sub_seeds = np.concatenate(sub_seeds)
+        self._row_cells = np.concatenate(row_cells)
+        self.counts = np.zeros(offset, dtype=np.int64)
+        self.index_sums = np.zeros(offset, dtype=np.int64)
+        self.fingerprints = np.zeros(offset, dtype=np.int64)
+
+    def update(self, e: UpdateEvent) -> None:
+        """Fold an already validated event into every bank holding both endpoints."""
+        lo, hi = min(e.i, e.j), max(e.i, e.j)
+        hit = np.nonzero((self._slot[lo] >= 0) & (self._slot[hi] >= 0))[0]
+        if len(hit):
+            self.fold(hit, lo, hi, e.delta)
+
+    def fold(self, hit: np.ndarray, lo: int, hi: int, delta: int) -> None:
+        """Add delta at pair {lo, hi} to lo's sketches and -delta to hi's.
+
+        Every bank in hit must hold both endpoints, and lo < hi.
+        """
+        idx = pair_index(lo, hi, self.n)
+        reps = self._reps[hit]
+        per_bank = self._rows[hit]
+        rows = _ragged_arange(self._row_start[hit], per_bank)
+        # a row's cells are its levels 0..deepest, reps apart
+        depth = 1 + deepest_levels(
+            self._sub_seeds[rows], self._rep_seeds[rows], idx, self._levels
+        )
+        stride = self._member_stride[hit]
+        lo_slot, hi_slot = self._slot[lo, hit], self._slot[hi, hit]
+        lo_rows = self._row_cells[rows] + np.repeat(lo_slot * stride, per_bank)
+        hi_shift = np.repeat((hi_slot - lo_slot) * stride, per_bank)
+        level_step = np.repeat(np.repeat(reps, per_bank), depth)
+        lo_cells = _ragged_arange(lo_rows, depth, level_step)
+        hi_cells = lo_cells + np.repeat(hi_shift, depth)
+        zpow = [pow(z, idx, PRIME) for b in hit.tolist() for z in self._z[b]]
+        row_z = np.repeat(np.array(zpow, dtype=np.int64), np.repeat(reps, self._rounds))
+        dz = delta * np.repeat(row_z, depth)
+        self.counts[lo_cells] += delta
+        self.counts[hi_cells] -= delta
+        self.index_sums[lo_cells] += delta * idx
+        self.index_sums[hi_cells] -= delta * idx
+        fps = self.fingerprints
+        fps[lo_cells] = (fps[lo_cells] + dz) % PRIME
+        fps[hi_cells] = (fps[hi_cells] - dz) % PRIME
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray, steps=1) -> np.ndarray:
+    """Concatenation of start + step * arange(length) over the given starts and lengths.
+
+    steps is a scalar or one step per output element.
+    """
+    ends = np.cumsum(lengths)
+    within = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    return np.repeat(starts, lengths) + within * steps

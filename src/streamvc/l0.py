@@ -13,6 +13,11 @@ vanishingly rare.
 Updates, merges and therefore the final state are linear in the update
 stream: any reordering or insert/delete cancellation produces the same
 cells bit for bit.
+
+L0Sketch is the reference implementation. Forest banks keep the same
+cells for many sketches in flat arrays (streamvc.forest) and share this
+module's seed derivation (sketch_seeds), level rule (deepest_levels),
+size (serialized_size) and decoder (sample_cells).
 """
 from __future__ import annotations
 
@@ -77,6 +82,35 @@ def repetition_count(delta: float) -> int:
     return max(1, math.ceil(REP_SCALE * math.log(1.0 / delta)))
 
 
+def serialized_size(reps: int, levels: int) -> int:
+    """Bytes of one serialized sketch with these dimensions."""
+    return len(_MAGIC) + _HEADER.size + reps * levels * _CELL.size
+
+
+def sketch_seeds(seed: int, reps: int) -> tuple[np.ndarray, int, int]:
+    """(rep_seeds, subsample_seed, z) that a sketch derives from its seed."""
+    rep_seeds = mix_u64(derive_seed(seed, "rep-seeds"), np.arange(reps))
+    z = 1 + derive_seed(seed, "fingerprint-base") % (PRIME - 1)
+    return rep_seeds, derive_seed(seed, "subsample"), z
+
+
+def deepest_levels(
+    subsample_seed, rep_seeds: np.ndarray, index: int, levels: int
+) -> np.ndarray:
+    """Deepest level of each repetition that index lands in.
+
+    Level l admits a coordinate when its hash has at least l trailing
+    zero bits, so the coordinate also lands in every shallower level.
+    subsample_seed is one sketch's seed, or a uint64 array with the
+    subsample seed of each entry of rep_seeds (many sketches at once).
+    """
+    x = mix_u64(subsample_seed, rep_seeds + np.uint64(index))
+    lowbit = x & (~x + np.uint64(1))
+    with np.errstate(divide="ignore"):
+        tz = np.where(x == 0, 64, np.log2(lowbit.astype(np.float64)))
+    return np.minimum(tz.astype(np.int64), levels - 1)
+
+
 class L0Sketch:
     """Sketch of a vector over 0..universe-1; supports update/merge/sample."""
 
@@ -90,9 +124,7 @@ class L0Sketch:
         self.seed = seed
         self.levels = level_count(universe)
         self.reps = repetition_count(delta)
-        self.rep_seeds = mix_u64(derive_seed(seed, "rep-seeds"), np.arange(self.reps))
-        self._subsample_seed = derive_seed(seed, "subsample")
-        self.z = 1 + derive_seed(seed, "fingerprint-base") % (PRIME - 1)
+        self.rep_seeds, self._subsample_seed, self.z = sketch_seeds(seed, self.reps)
         shape = (self.reps, self.levels)
         self.counts = np.zeros(shape, dtype=np.int64)
         self.index_sums = np.zeros(shape, dtype=np.int64)
@@ -102,12 +134,7 @@ class L0Sketch:
 
     def active_mask(self, index: int) -> np.ndarray:
         """Bool[reps, levels]: which cells index lands in (nested levels)."""
-        u = self.rep_seeds + np.uint64(index)
-        x = mix_u64(self._subsample_seed, u)
-        lowbit = x & (~x + np.uint64(1))
-        with np.errstate(divide="ignore"):
-            tz = np.where(x == 0, 64, np.log2(lowbit.astype(np.float64)))
-        limits = np.minimum(tz.astype(np.int64), self.levels - 1)
+        limits = deepest_levels(self._subsample_seed, self.rep_seeds, index, self.levels)
         return np.arange(self.levels)[None, :] <= limits[:, None]
 
     def update(self, index: int, delta: int) -> "L0Sketch":
@@ -178,7 +205,7 @@ class L0Sketch:
     # -- serialization ---------------------------------------------------
 
     def serialized_size(self) -> int:
-        return len(_MAGIC) + _HEADER.size + self.reps * self.levels * _CELL.size
+        return serialized_size(self.reps, self.levels)
 
     def to_bytes(self) -> bytes:
         parts = [
@@ -216,18 +243,10 @@ def sample_cells(counts, index_sums, fingerprints, z: int, universe: int):
     otherwise the first repetition-major cell passing the one-sparse
     verification wins; FAIL when none does.
     """
-    level0 = (
-        (counts[:, 0] == 0) & (index_sums[:, 0] == 0) & (fingerprints[:, 0] == 0)
-    )
-    if bool(level0.all()):
+    if not (counts[:, 0].any() or index_sums[:, 0].any() or fingerprints[:, 0].any()):
         return EMPTY
-    reps, levels = counts.shape
-    nonzero = counts != 0
-    for r in range(reps):
-        row = nonzero[r]
-        if not row.any():
-            continue
-        for lv in np.nonzero(row)[0]:
+    for r in range(counts.shape[0]):
+        for lv in np.flatnonzero(counts[r]).tolist():
             c = int(counts[r, lv])
             s = int(index_sums[r, lv])
             if s % c != 0:

@@ -34,10 +34,15 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def mix_u64(seed: int, values: np.ndarray) -> np.ndarray:
-    """Seeded uniform-ish uint64 per value (treated as fully random)."""
+def mix_u64(seed, values: np.ndarray) -> np.ndarray:
+    """Seeded uniform-ish uint64 per value (treated as fully random).
+
+    seed is one int for every value, or a uint64 array of per-value seeds
+    that broadcasts against values.
+    """
     v = np.asarray(values, dtype=np.uint64)
-    x = (v + np.uint64(1)) * np.uint64(_GOLDEN) + np.uint64(seed & _MASK64)
+    s = np.asarray(seed & _MASK64, dtype=np.uint64)
+    x = (v + np.uint64(1)) * np.uint64(_GOLDEN) + s
     return splitmix64(x)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,13 @@ from streamvc.certificate import (
     preserved_st_connectivity,
     sample_subsets,
 )
-from streamvc.errors import NegativeMultiplicityError, SpaceExceededError
+from streamvc.errors import (
+    InvalidVertexError,
+    NegativeMultiplicityError,
+    SelfLoopError,
+    SpaceExceededError,
+)
+from streamvc.forest import bank_bytes, pair_index, round_count
 from streamvc.graph import (
     EdgeSet,
     UpdateEvent,
@@ -26,7 +34,9 @@ from streamvc.instances import (
     path_graph,
     random_disjointness,
 )
+from streamvc.l0 import L0Sketch, level_count
 from streamvc.oracle import is_k_connected
+from streamvc.seeds import derive_seed
 
 
 def test_params_validation():
@@ -207,12 +217,74 @@ def test_stream_illegal_stream_raises():
     certifier.update(UpdateEvent(0, 1, -1))
     with pytest.raises(NegativeMultiplicityError):
         certifier.update(UpdateEvent(0, 1, -1))
+    with pytest.raises(InvalidVertexError):
+        certifier.update(UpdateEvent(0, 6, 1))
+    with pytest.raises(SelfLoopError):
+        certifier.update(UpdateEvent(2, 2, 1))
+    with pytest.raises(ValueError):
+        certifier.update(UpdateEvent(0, 1, 2))
 
 
 def test_space_cap_aborts():
     params = CertParams(n=32, k=2, scale_c=5, seed=20, delta=0.01)
     with pytest.raises(SpaceExceededError):
         StreamCertifier(params, space_cap_bytes=1000)
+
+
+def test_space_cap_checked_before_allocation():
+    params = CertParams(n=32, k=2, scale_c=5, seed=20, delta=0.01)
+    state = sum(bank_bytes(32, len(s), 0.01) for s in sample_subsets(params))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceExceededError):
+            StreamCertifier(params, space_cap_bytes=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state > 100_000_000
+    assert peak < state // 100
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (12, 2), (12, 3), (16, 1), (16, 2)])
+def test_stream_cells_equal_reference_sketches(n, k):
+    """Every (bank, member, round) block equals a standalone L0Sketch fed that member's updates."""
+    events = gen_random_stream(n, 0.3, 0.3, seed=40 + n + k)
+    params = CertParams(n=n, k=k, scale_c=2, seed=41 + n * k, delta=0.05)
+    certifier = StreamCertifier(params)
+    for e in events:
+        certifier.update(e)
+    rounds, universe = round_count(n), n * (n - 1) // 2
+    levels = level_count(universe)
+    store = certifier.store
+    offset = 0
+    sizes = set()
+    for i, members in enumerate(sample_subsets(params)):
+        m = len(members)
+        sizes.add(min(m, 2))
+        assert certifier.banks[i].members == tuple(members.tolist())
+        sketch_delta = min(0.5, 0.05 / max(1, rounds * m))
+        reps = L0Sketch(universe, sketch_delta, 0).reps
+        size = m * rounds * levels * reps
+        blocks = [
+            a[offset : offset + size].reshape(m, rounds, levels, reps)
+            for a in (store.counts, store.index_sums, store.fingerprints)
+        ]
+        offset += size
+        for r in range(rounds):
+            round_seed = derive_seed(params.bank_seed(i), "round", r)
+            for pos, v in enumerate(members.tolist()):
+                ref = L0Sketch(universe, sketch_delta, round_seed)
+                for e in events:
+                    lo, hi = min(e.i, e.j), max(e.i, e.j)
+                    if lo in members and hi in members and v in (lo, hi):
+                        ref.update(pair_index(lo, hi, n), e.delta if v == lo else -e.delta)
+                for got, want in zip(
+                    blocks, (ref.counts, ref.index_sums, ref.fingerprints)
+                ):
+                    assert np.array_equal(got[pos, r].T, want)
+    assert offset == len(store.counts) == len(store.fingerprints)
+    if (n, k) == (8, 3):
+        assert sizes == {0, 1, 2}  # empty and single-member banks are covered
 
 
 def test_subset_byte_accounting_flag():

@@ -1,0 +1,60 @@
+"""Property tests: the dynamic certifier's state is linear in the stream.
+
+Any legal reordering of a stream, and any insert/delete pair that cancels,
+must leave the three cell arrays bit-identical and the certificate JSON
+byte-identical.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamvc.certificate import CertParams, StreamCertifier
+from streamvc.graph import UpdateEvent
+from streamvc.instances import legal_shuffle
+
+N = 7
+PAIRS = [(u, v) for u in range(N) for v in range(u + 1, N)]
+
+
+@st.composite
+def legal_streams(draw):
+    """Inserts and deletes of random pairs; a delete only of a present edge."""
+    ops = draw(st.lists(st.tuples(st.sampled_from(PAIRS), st.booleans()), max_size=30))
+    mult: dict[tuple[int, int], int] = {}
+    events = []
+    for (u, v), delete in ops:
+        if delete and mult.get((u, v), 0) > 0:
+            mult[(u, v)] -= 1
+            events.append(UpdateEvent(v, u, -1))
+        else:
+            mult[(u, v)] = mult.get((u, v), 0) + 1
+            events.append(UpdateEvent(u, v, 1))
+    return events
+
+
+def certify(params, events):
+    certifier = StreamCertifier(params)
+    for e in events:
+        certifier.update(e)
+    return certifier
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    events=legal_streams(),
+    shuffle_seed=st.integers(0, 2**32 - 1),
+    cancels=st.lists(st.tuples(st.sampled_from(PAIRS), st.integers(0, 60)), max_size=6),
+    seed=st.integers(0, 1000),
+)
+def test_reordering_and_cancelling_pairs_keep_state_bit_identical(
+    events, shuffle_seed, cancels, seed
+):
+    variant = legal_shuffle(events, shuffle_seed)
+    for (u, v), at in cancels:
+        at = min(at, len(variant))
+        variant[at:at] = [UpdateEvent(u, v, 1), UpdateEvent(v, u, -1)]
+    params = CertParams(n=N, k=2, scale_c=2, seed=seed, delta=0.05)
+    a, b = certify(params, events), certify(params, variant)
+    for field in ("counts", "index_sums", "fingerprints"):
+        assert np.array_equal(getattr(a.store, field), getattr(b.store, field))
+    assert a.finalize().to_json() == b.finalize().to_json()
