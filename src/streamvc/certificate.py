@@ -33,6 +33,8 @@ from .seeds import derive_seed, subset_mask
 
 PAPER_SCALE = 200.0
 TEST_SCALE = 20.0
+# version of Certificate.to_json_dict's layout; from_json rejects others
+JSON_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,22 @@ class Certificate:
         return sum(1 for m in self.forests if m.failures > 0)
 
     def to_json_dict(self) -> dict:
+        """Lossless JSON form: params, edges and per-forest records.
+
+        forest_failures and sum_Vi are derived from the forest records
+        and written for readers that do not recompute them.
+        """
         p = self.params
         return {
+            "schema": JSON_SCHEMA,
             "n": p.n,
             "k": p.k,
             "C": p.scale_c,
             "r": p.num_forests,
             "seed": p.seed,
+            "delta": p.delta,
             "edges": [list(e) for e in self.edges.sorted_edges()],
+            "forests": [[m.size, m.failures, m.seed] for m in self.forests],
             "forest_failures": self.forest_failures,
             "sum_Vi": self.sum_subset_sizes,
             "measured_sketch_bytes": self.sketch_bytes,
@@ -129,10 +139,17 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         d = json.loads(text)
-        params = CertParams(n=d["n"], k=d["k"], scale_c=d["C"], seed=d["seed"])
-        edges = EdgeSet(d["n"], [tuple(e) for e in d["edges"]])
-        cert = cls(edges=edges, params=params, sketch_bytes=d["measured_sketch_bytes"])
-        return cert
+        if d.get("schema") != JSON_SCHEMA:
+            raise ValueError(f"unsupported certificate schema {d.get('schema')!r}")
+        params = CertParams(
+            n=d["n"], k=d["k"], scale_c=d["C"], seed=d["seed"], delta=d["delta"]
+        )
+        return cls(
+            edges=EdgeSet(d["n"], [tuple(e) for e in d["edges"]]),
+            params=params,
+            forests=[ForestMeta(*record) for record in d["forests"]],
+            sketch_bytes=d["measured_sketch_bytes"],
+        )
 
 
 def sample_subsets(params: CertParams) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import certificate as cert_mod
 from . import instances, streamio
 from .errors import StreamError
-from .graph import replay_stream
+from .graph import EdgeSet, replay_stream
 from .insertion import InsertionCertifier
 from .oracle import is_k_connected, vertex_connectivity
 from .seeds import derive_seed
@@ -75,6 +75,24 @@ def _params_from_args(args, n: int, k: int) -> cert_mod.CertParams:
     return cert_mod.CertParams(n=n, k=k, scale_c=scale, seed=args.seed, delta=args.delta)
 
 
+def _certify_stream(
+    mode: str, params: cert_mod.CertParams, events, g: EdgeSet | None, **certifier_kw
+) -> tuple[cert_mod.Certificate, bool]:
+    """Build the dynamic or offline certificate of one stream and decide it.
+
+    The dynamic certifier reads (and validates) the events; the offline
+    certificate is built from the already replayed support graph `g`.
+    """
+    if mode == "dynamic":
+        certifier = cert_mod.StreamCertifier(params, **certifier_kw)
+        for e in events:
+            certifier.update(e)
+        certificate = certifier.finalize()
+    else:
+        certificate = cert_mod.build_certificate_offline(g, params)
+    return certificate, cert_mod.decide_k_connected(certificate)
+
+
 def _certify(args) -> int:
     started = time.perf_counter()
     n, k_file, events = streamio.read_stream(args.stream)
@@ -84,6 +102,7 @@ def _certify(args) -> int:
         "params": {"n": n, "k": k, "seed": args.seed, "mode": args.mode},
     }
     certificate = None
+    g = None  # the streamed support graph, replayed at most once
     if args.mode == "insertion":
         ins = InsertionCertifier(n, k)
         for e in events:
@@ -100,26 +119,24 @@ def _certify(args) -> int:
         report["params"].update(
             {"C": params.scale_c, "r": params.num_forests, "delta": params.resolved_delta}
         )
-        if args.mode == "dynamic":
-            certifier = cert_mod.StreamCertifier(
-                params,
-                space_cap_bytes=args.space_cap_bytes,
-                count_subset_bytes=not args.exclude_subset_bytes,
-            )
-            for e in events:
-                certifier.update(e)
-            certificate = certifier.finalize()
-        else:  # offline
+        if args.mode == "offline":
             g = replay_stream(events, n).support()
-            certificate = cert_mod.build_certificate_offline(g, params)
-        verdict = cert_mod.decide_k_connected(certificate)
+        certificate, verdict = _certify_stream(
+            args.mode,
+            params,
+            events,
+            g,
+            space_cap_bytes=args.space_cap_bytes,
+            count_subset_bytes=not args.exclude_subset_bytes,
+        )
         report["verdict"] = verdict
         report["certificate_edges"] = len(certificate.edges)
         report["sum_Vi"] = certificate.sum_subset_sizes
         report["forest_failures"] = certificate.forest_failures
         report["measured_sketch_bytes"] = certificate.sketch_bytes
     if args.oracle:
-        g = replay_stream(events, n).support()
+        if g is None:
+            g = replay_stream(events, n).support()
         report["oracle_verdict"] = is_k_connected(g, k)
     if args.cert_out and certificate is not None:
         Path(args.cert_out).write_text(certificate.to_json() + "\n", encoding="utf-8")
@@ -157,14 +174,7 @@ def _check(args) -> int:
             seed=trial_seed,
             delta=args.delta,
         )
-        if args.mode == "dynamic":
-            certifier = cert_mod.StreamCertifier(params)
-            for e in events:
-                certifier.update(e)
-            certificate = certifier.finalize()
-        else:
-            certificate = cert_mod.build_certificate_offline(g, params)
-        verdict = cert_mod.decide_k_connected(certificate)
+        certificate, verdict = _certify_stream(args.mode, params, events, g)
         matches += int(verdict == truth)
         sizes.append(len(certificate.edges))
     report = {

@@ -1,19 +1,27 @@
 """Exact vertex-connectivity computations via unit-capacity max-flow.
 
 Counting internally vertex-disjoint s-t paths reduces to max-flow on the
-standard vertex-split network: every vertex v other than s, t becomes an
-arc v_in -> v_out of capacity one, each undirected edge becomes a pair of
-opposite arcs between the split halves, and a direct {s,t} edge becomes a
-single unit arc contributing exactly one path. Edge arcs get a large
-capacity so minimum cuts consist of internal arcs only, which is what
-makes vertex-cut extraction from residual reachability exact.
+standard vertex-split network: every vertex v becomes an arc v_in -> v_out
+of capacity one, each undirected edge becomes a pair of opposite arcs
+between the split halves, and flow runs from s_out to t_in. Edge arcs get
+a large capacity so minimum cuts consist of internal arcs only, which is
+what makes vertex-cut extraction from residual reachability exact. One
+network is built per graph and queried for any (s, t) from a fresh copy
+of its base capacities; a direct {s,t} edge is lowered to a unit arc for
+that query only, so it contributes exactly one path.
 
 Global connectivity is the minimum of the pairwise values over
-non-adjacent pairs (n-1 for complete graphs). The boolean k-connectivity
-query additionally uses the Menger-style observation that any vertex cut
-of size < k misses at least one of any k+1 fixed vertices, so flows from
-k+1 pivots to their non-neighbours suffice; the exhaustive pairwise scan
-and this shortcut are cross-checked in the test suite.
+non-adjacent pairs (n-1 for complete graphs), and it suffices to take
+that minimum over the witness pairs of Esfahanian and Hakimi (1984): for
+a minimum-degree vertex v, the pairs (v, w) for every non-neighbour w,
+plus every non-adjacent pair of v's neighbours. If v lies outside some
+minimum cut S, a non-neighbour w lies beyond S and (v, w) is separated
+by S. If v lies in every minimum cut, take one such S: every vertex of a
+minimum cut has a neighbour in each component of G - S (otherwise S - v
+would still separate), so v has non-adjacent neighbours on two sides of
+S. Either way some witness pair has local connectivity |S|. The witness
+scan and the exhaustive pairwise definition are cross-checked in the
+test suite, and against networkx.
 """
 from __future__ import annotations
 
@@ -26,101 +34,112 @@ from .graph import EdgeSet, component_partition
 _BIG = 1 << 30
 
 
-class _SplitFlow:
-    """Unit-capacity vertex-split flow network for one (s, t) query.
+class _SplitNetwork:
+    """Unit-capacity vertex-split network of one graph, reused per (s, t).
 
-    Node ids: 2v = v_in, 2v+1 = v_out; source is s_out, sink is t_in.
+    Node ids: 2v = v_in, 2v+1 = v_out. Arcs come in (forward, reverse)
+    pairs a, a^1; arc 2v is the internal arc v_in -> v_out, and every
+    edge {u,v} adds u_out -> v_in and v_out -> u_in. A query sends flow
+    from s_out to t_in on a copy of the base capacities. The internal
+    arcs of s and t stay in the network but carry no flow and leave the
+    residual cut unchanged: an augmenting path is a shortest residual
+    path from s_out, so it never returns through s_in, and it ends at
+    t_in, so t_out is never entered.
     """
 
-    def __init__(self, adj: list[list[int]], s: int, t: int):
+    def __init__(self, adj: list[list[int]]):
         n = len(adj)
         self.num_nodes = 2 * n
-        self.source = 2 * s + 1
-        self.sink = 2 * t
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        to: list[int] = []
+        base: list[int] = []
+        head: list[list[int]] = [[] for _ in range(2 * n)]
         for v in range(n):
-            if v != s and v != t:
-                self._arc(2 * v, 2 * v + 1, 1)
+            head[2 * v].append(2 * v)
+            head[2 * v + 1].append(2 * v + 1)
+            to += (2 * v + 1, 2 * v)
+            base += (1, 0)
         for u in range(n):
+            out = 2 * u + 1
+            arcs = head[out]
             for v in adj[u]:
-                # one directed arc per orientation; skip arcs into the
-                # source side or out of the sink side, they cannot carry flow
-                if v == s or u == t:
-                    continue
-                capacity = 1 if (u == s and v == t) else _BIG
-                self._arc(2 * u + 1, 2 * v, capacity)
+                a = len(to)
+                arcs.append(a)
+                head[2 * v].append(a + 1)
+                to += (2 * v, out)
+                base += (_BIG, 0)
+        self.to, self.base, self.head = to, base, head
+        self.cap = base
+        self.source = self.sink = -1
 
-    def _arc(self, a: int, b: int, capacity: int) -> None:
-        self.head[a].append(len(self.to))
-        self.to.append(b)
-        self.cap.append(capacity)
-        self.head[b].append(len(self.to))
-        self.to.append(a)
-        self.cap.append(0)
+    def max_flow(self, s: int, t: int, limit: int) -> int:
+        """Disjoint s-t paths in the graph, counting stopped at `limit`."""
+        self.source, self.sink = 2 * s + 1, 2 * t
+        self.cap = cap = self.base[:]
+        for a in self.head[self.source]:
+            if self.to[a] == self.sink:
+                cap[a] = 1  # the direct edge is one path
+        flow = 0
+        while flow < limit:
+            dist = self._distances()
+            if dist is None:
+                break
+            ptr = [0] * self.num_nodes
+            while flow < limit and self._augment(dist, ptr):
+                flow += 1
+        return flow
 
-    def _levels(self) -> list[int] | None:
-        level = [-1] * self.num_nodes
-        level[self.source] = 0
-        queue = deque([self.source])
+    def _distances(self) -> list[int] | None:
+        """Residual distance to the sink of every node up to the source's.
+
+        Searching back from the sink means every arc the augmenting walk
+        follows from the source leads towards the sink.
+        """
+        dist = [-1] * self.num_nodes
+        dist[self.sink] = 0
+        queue = deque([self.sink])
         to, cap, head = self.to, self.cap, self.head
         while queue:
             u = queue.popleft()
-            if u == self.sink:
-                return level
+            if u == self.source:
+                return dist
             for a in head[u]:
                 v = to[a]
-                if level[v] < 0 and cap[a] > 0:
-                    level[v] = level[u] + 1
+                if dist[v] < 0 and cap[a ^ 1] > 0:
+                    dist[v] = dist[u] + 1
                     queue.append(v)
         return None
 
-    def _augment(self, level: list[int], ptr: list[int]) -> int:
-        """Find one augmenting path in the level graph; unit flow."""
+    def _augment(self, dist: list[int], ptr: list[int]) -> bool:
+        """Push one unit along a shortest residual path, if one is left."""
         to, cap, head = self.to, self.cap, self.head
         sink = self.sink
         path: list[int] = []
         u = self.source
-        while True:
-            if u == sink:
-                for a in path:
-                    cap[a] -= 1
-                    cap[a ^ 1] += 1
-                return 1
-            advanced = False
-            while ptr[u] < len(head[u]):
-                a = head[u][ptr[u]]
-                v = to[a]
-                if cap[a] > 0 and level[v] == level[u] + 1:
-                    path.append(a)
-                    u = v
-                    advanced = True
-                    break
+        while u != sink:
+            arcs, i, want = head[u], ptr[u], dist[u] - 1
+            while i < len(arcs) and not (cap[arcs[i]] > 0 and dist[to[arcs[i]]] == want):
+                i += 1
+            ptr[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:
+                dist[u] = -1  # dead end, prune
+                u = to[path.pop() ^ 1]
                 ptr[u] += 1
-            if not advanced:
-                if not path:
-                    return 0
-                level[u] = -1  # dead end, prune
-                a = path.pop()
-                u = to[a ^ 1]
-                ptr[u] += 1
+            else:
+                return False
+        for a in path:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+        return True
 
-    def max_flow(self, limit: int) -> int:
-        flow = 0
-        while flow < limit:
-            level = self._levels()
-            if level is None:
-                break
-            ptr = [0] * self.num_nodes
-            while flow < limit:
-                pushed = self._augment(level, ptr)
-                if pushed == 0:
-                    break
-                flow += pushed
-        return flow
+    def residual_cut(self) -> set[int]:
+        """Vertex cut of the last query's flow, if it was a maximum flow.
 
-    def residual_reachable(self) -> list[bool]:
+        X = {v : v_in reachable from the source in the residual network,
+        v_out not}, excluding the query's own s and t.
+        """
         seen = [False] * self.num_nodes
         seen[self.source] = True
         queue = deque([self.source])
@@ -132,7 +151,30 @@ class _SplitFlow:
                 if cap[a] > 0 and not seen[v]:
                     seen[v] = True
                     queue.append(v)
-        return seen
+        ends = (self.source // 2, self.sink // 2)
+        return {
+            v
+            for v in range(self.num_nodes // 2)
+            if v not in ends and seen[2 * v] and not seen[2 * v + 1]
+        }
+
+
+def _witness_pairs(adj: list[list[int]]) -> list[tuple[int, int]]:
+    """Non-adjacent pairs whose minimum local connectivity is the global one.
+
+    For a minimum-degree vertex v: (v, w) for every non-neighbour w, then
+    every non-adjacent pair of v's neighbours (see the module docstring
+    for why this is exact). Empty iff the graph is complete.
+    """
+    n = len(adj)
+    v = min(range(n), key=lambda u: len(adj[u]))
+    near = set(adj[v])
+    pairs = [(v, w) for w in range(n) if w != v and w not in near]
+    nbrs = sorted(near)
+    for i, x in enumerate(nbrs):
+        adjacent = set(adj[x])
+        pairs.extend((x, y) for y in nbrs[i + 1 :] if y not in adjacent)
+    return pairs
 
 
 def max_vertex_disjoint_paths(
@@ -150,32 +192,26 @@ def max_vertex_disjoint_paths(
     limit = g.n if cap is None else max(0, min(cap, g.n))
     if limit == 0:
         return 0
-    net = _SplitFlow(g.adjacency(), s, t)
-    return net.max_flow(limit)
+    return _SplitNetwork(g.adjacency()).max_flow(s, t, limit)
 
 
 def vertex_connectivity(g: EdgeSet) -> int:
     """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected.
 
-    Minimum of max_vertex_disjoint_paths over all non-adjacent pairs, with
-    a running cutoff so later pairs stop augmenting once they cannot lower
+    Minimum of max_vertex_disjoint_paths over the witness pairs, with a
+    running cutoff so later pairs stop augmenting once they cannot lower
     the minimum.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    best = g.n - 1
     adj = g.adjacency()
-    complete = True
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if g.has(s, t):
-                continue
-            complete = False
-            net = _SplitFlow(adj, s, t)
-            best = min(best, net.max_flow(best))
-            if best == 0:
-                return 0
-    return g.n - 1 if complete else best
+    net = _SplitNetwork(adj)
+    best = g.n - 1
+    for s, t in _witness_pairs(adj):
+        best = min(best, net.max_flow(s, t, best))
+        if best == 0:
+            break
+    return best
 
 
 def is_k_connected(g: EdgeSet, k: int) -> bool:
@@ -183,68 +219,49 @@ def is_k_connected(g: EdgeSet, k: int) -> bool:
 
     Short-circuits on min degree < k; k > n-1 is trivially false (which
     also covers single-vertex graphs, whose connectivity we leave
-    undefined). Uses flows from k+1 fixed pivot vertices: any cut of size
-    < k misses one pivot, which then sees a deficient non-neighbour.
+    undefined). Otherwise runs one flow capped at k per witness pair and
+    stops at the first pair with fewer than k disjoint paths.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > g.n - 1:
         return False
-    deg = g.degrees()
-    if min(deg) < k:
-        return False
     adj = g.adjacency()
-    for s in range(k + 1):
-        neighbours = set(adj[s])
-        for t in range(g.n):
-            if t == s or t in neighbours:
-                continue
-            if _SplitFlow(adj, s, t).max_flow(k) < k:
-                return False
-    return True
+    if min(len(a) for a in adj) < k:
+        return False
+    net = _SplitNetwork(adj)
+    return all(net.max_flow(s, t, k) == k for s, t in _witness_pairs(adj))
 
 
 def find_vertex_cut(g: EdgeSet, k: int) -> set[int] | None:
     """Minimum vertex cut if connectivity is below k, else None.
 
-    The cut is read off the residual reachability of the minimum s-t flow
-    for the lexicographically first non-adjacent pair achieving the global
-    minimum: X = {v : v_in reachable, v_out not}. A disconnected graph
-    yields the empty cut; a complete graph below k returns all vertices
-    but one (removal leaves a singleton).
+    Runs the witness pairs with a running cutoff starting at k; the cut
+    is read off the residual reachability of the first pair whose flow
+    reaches the minimum kappa: X = {v : v_in reachable, v_out not}. A
+    flow below its cutoff is a maximum flow, so that residual cut is a
+    minimum one. A disconnected graph yields the empty cut; a complete
+    graph below k returns all vertices but one (removal leaves a
+    singleton).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if g.n < 2:
         raise ValueError("vertex cuts need at least 2 vertices")
-    if is_k_connected(g, k):
-        return None
     adj = g.adjacency()
-    pairs = [
-        (s, t)
-        for s in range(g.n)
-        for t in range(s + 1, g.n)
-        if not g.has(s, t)
-    ]
+    pairs = _witness_pairs(adj)
     if not pairs:
-        return set(range(1, g.n))
-    kappa = min(g.n - 1, k - 1)
+        return set(range(1, g.n)) if k > g.n - 1 else None
+    net = _SplitNetwork(adj)
+    kappa, cut = k, None
     for s, t in pairs:
-        kappa = min(kappa, _SplitFlow(adj, s, t).max_flow(kappa))
-        if kappa == 0:
-            break
-    for s, t in pairs:
-        net = _SplitFlow(adj, s, t)
-        if net.max_flow(kappa + 1) == kappa:
-            seen = net.residual_reachable()
-            cut = {
-                v
-                for v in range(g.n)
-                if v != s and v != t and seen[2 * v] and not seen[2 * v + 1]
-            }
+        flow = net.max_flow(s, t, kappa)
+        if flow < kappa:
+            kappa, cut = flow, net.residual_cut()
             assert len(cut) == kappa, "residual cut size mismatch"
-            return cut
-    raise AssertionError("no pair achieved the computed minimum")
+            if kappa == 0:
+                break
+    return cut
 
 
 def _k_core(g: EdgeSet, k: int) -> set[int]:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -300,12 +301,15 @@ def test_certificate_json_schema_and_roundtrip():
     cert = build_certificate_offline(complete(6), params)
     d = cert.to_json_dict()
     assert list(d.keys()) == [
+        "schema",
         "n",
         "k",
         "C",
         "r",
         "seed",
+        "delta",
         "edges",
+        "forests",
         "forest_failures",
         "sum_Vi",
         "measured_sketch_bytes",
@@ -313,6 +317,19 @@ def test_certificate_json_schema_and_roundtrip():
     back = Certificate.from_json(cert.to_json())
     assert back.edges == cert.edges
     assert back.params.k == 2
+    # a certificate with sample failures and an explicit delta reloads intact
+    params = CertParams(n=6, k=2, scale_c=5, seed=22, delta=0.125)
+    cert = build_certificate_offline(complete(6), params)
+    cert.forests[1].failures = 3
+    cert.sketch_bytes = 4096
+    back = Certificate.from_json(cert.to_json())
+    assert back.forests == cert.forests
+    assert back.forest_failures == cert.forest_failures == 1
+    assert back.sum_subset_sizes == cert.sum_subset_sizes
+    assert back.params == cert.params and back.params.delta == 0.125
+    assert back.to_json() == cert.to_json()
+    with pytest.raises(ValueError):
+        Certificate.from_json(json.dumps({**d, "schema": 2}))
 
 
 def test_low_connectivity_edges_captured_smoke():

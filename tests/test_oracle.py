@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from streamvc.errors import InvalidVertexError
-from streamvc.graph import EdgeSet
+from streamvc.graph import EdgeSet, component_partition
 from streamvc.instances import (
     complete,
     complete_bipartite,
@@ -13,6 +14,7 @@ from streamvc.instances import (
     star,
 )
 from streamvc.oracle import (
+    _SplitNetwork,
     find_vertex_cut,
     has_k_connected_subgraph,
     is_k_connected,
@@ -128,6 +130,27 @@ def test_flow_matches_path_packing_random(rng):
                 assert max_vertex_disjoint_paths(g, s, t) == (
                     brute_max_disjoint_paths(g, s, t)
                 )
+
+
+def test_split_network_reuse_leaks_no_state():
+    # one network answers every ordered pair, in shuffled order: each flow
+    # and each residual cut must be what a fresh network would give
+    rng = np.random.default_rng(1975)
+    graphs = [complete(5), cycle(6), star(5), complete_bipartite(2, 4), hypercube(3)]
+    graphs += [random_edge_set(7, 0.5, rng) for _ in range(3)]
+    for g in graphs:
+        net = _SplitNetwork(g.adjacency())
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        for i in rng.permutation(len(pairs)):
+            s, t = pairs[i]
+            flow = net.max_flow(s, t, g.n)
+            assert flow == brute_max_disjoint_paths(g, s, t), (g, s, t)
+            if g.has(s, t):
+                continue
+            cut = net.residual_cut()
+            assert len(cut) == flow
+            parts = component_partition(set(range(g.n)) - cut, g.edges)
+            assert not any(s in part and t in part for part in parts)
 
 
 def test_menger_duality_brute(rng):
