@@ -16,6 +16,14 @@ same seed they sample the same subsets and, when every extraction
 succeeds, induce the same per-subset component partitions. The dynamic
 certifier's byte footprint is a pure function of its parameters, so a
 space cap is enforced before any cell is allocated.
+
+Subsets are sampled independently, but the banks share their sketch
+randomness: the store derives one battery per contraction round from the
+single seed derive_seed(seed, "sketch"). That is sound because each
+forest's failure bound is a union bound over its own bank's samples,
+which never uses independence between banks, and each round's battery
+is fresh, so the components formed in earlier rounds are independent of
+it.
 """
 from __future__ import annotations
 
@@ -80,9 +88,6 @@ class CertParams:
 
     def subset_seed(self, i: int) -> int:
         return derive_seed(self.seed, "subset", i)
-
-    def bank_seed(self, i: int) -> int:
-        return derive_seed(self.seed, "forest", i)
 
 
 @dataclass
@@ -181,9 +186,9 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
         if size >= 2 and len(edges) > 0:
             sel = mask[earr[:, 0]] & mask[earr[:, 1]]
             uf = UnionFind(params.n)
-            for u, v in earr[sel]:
-                if uf.union(int(u), int(v)):
-                    kept.add((int(u), int(v)))
+            for u, v in earr[sel].tolist():
+                if uf.union(u, v):
+                    kept.add((u, v))
     h = EdgeSet(params.n, kept)
     assert len(h) <= budget, "certificate exceeded its forest edge budget"
     return Certificate(edges=h, params=params, forests=metas, sketch_bytes=0)
@@ -192,13 +197,13 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
 class StreamCertifier:
     """Single-pass dynamic-stream certifier: one sketch bank per subset.
 
-    The banks' cells live in one SketchStore (three flat int64 arrays,
-    see streamvc.forest), and each event is folded into every bank that
-    holds both endpoints in one vectorized pass. The measured byte
-    footprint is a pure function of the parameters, so the optional cap
-    is checked before any cell is allocated. A MultiGraph of the stream
-    (validation bookkeeping, not charged to the sketch space) enforces
-    stream legality.
+    The banks' cells live in one SketchStore (three flat int64 arrays and
+    one sketch battery per round, see streamvc.forest), and each event is
+    folded into every bank that holds both endpoints in one vectorized
+    pass. The measured byte footprint is a pure function of the
+    parameters, so the optional cap is checked before any cell is
+    allocated. A MultiGraph of the stream (validation bookkeeping, not
+    charged to the sketch space) enforces stream legality.
     """
 
     def __init__(
@@ -218,11 +223,8 @@ class StreamCertifier:
                 f"sketch state {self.measured_bytes()} bytes exceeds cap "
                 f"{space_cap_bytes}"
             )
-        self.banks = [
-            ForestSketchBank.planned(n, s, delta, params.bank_seed(i))
-            for i, s in enumerate(subsets)
-        ]
-        self.store = SketchStore(n, self.banks)
+        self.banks = [ForestSketchBank.planned(n, s, delta) for s in subsets]
+        self.store = SketchStore(n, self.banks, derive_seed(params.seed, "sketch"))
         self._graph = MultiGraph(n)
 
     def measured_bytes(self) -> int:

@@ -13,14 +13,22 @@ ceil(log2 n) + 1 rounds suffice.
 State layout. The cells of every bank live in one SketchStore: three flat
 int64 arrays (count, index sum, fingerprint). A bank owns one contiguous
 block of them, laid out [member, round, level, rep] with the bank's own
-repetition count, so the store is ragged and holds no padding. The cells
-of one (member, round) are exactly those of an
-L0Sketch(universe, sketch_delta, round_seed) fed that member's signed
-incidence updates: levels stay nested and each (bank, round) derives the
-seeds that sketch derives. An event is folded into all the banks holding
-both endpoints in one vectorized pass: one hash over [bank, round, rep],
-one z^index per (bank, round) and one fancy-indexed add per field and
-endpoint.
+repetition count, so the store is ragged and holds no padding.
+
+Randomness. The store owns one seed and derives one sketch battery per
+round, sketch_seeds(derive_seed(seed, "round", r), max_reps): repetition
+seeds, a subsampling seed and a fingerprint base z. Every bank uses the
+first `reps` repetition seeds of that battery, which is exactly what
+L0Sketch(universe, sketch_delta, round_seed) derives, so the cells of one
+(bank, member, round) equal that reference sketch fed the member's signed
+incidence updates. Sharing a battery across banks is sound: a bank's
+failure bound is a union bound over its own samples and never uses
+independence between banks, and each round's battery is fresh, so the
+components that earlier rounds formed are independent of it.
+
+An event is folded into all the banks holding both endpoints in one
+vectorized pass: one hash over [round, rep], one z^index per round, and
+one fancy-indexed add per field and endpoint.
 """
 from __future__ import annotations
 
@@ -112,22 +120,23 @@ class ForestExtraction:
 class ForestSketchBank:
     """Per-vertex sketch batteries for one induced subgraph's members.
 
-    A bank built directly owns a store of its own; the dynamic certifier
-    builds planned banks and lays them all out in one SketchStore.
+    A bank built directly owns a store of its own, seeded with the bank's
+    seed; the dynamic certifier builds planned banks and lays them all out
+    in one SketchStore, whose seed and round batteries they share.
     """
 
     def __init__(self, n: int, members, delta: float, seed: int):
-        self._plan(n, members, delta, seed)
-        SketchStore(n, [self])
+        self._plan(n, members, delta)
+        SketchStore(n, [self], seed)
 
     @classmethod
-    def planned(cls, n: int, members, delta: float, seed: int) -> "ForestSketchBank":
-        """A bank with its layout and seeds but no cells until a store takes it."""
+    def planned(cls, n: int, members, delta: float) -> "ForestSketchBank":
+        """A bank with its layout but no cells or seeds until a store takes it."""
         bank = cls.__new__(cls)
-        bank._plan(n, members, delta, seed)
+        bank._plan(n, members, delta)
         return bank
 
-    def _plan(self, n: int, members, delta: float, seed: int) -> None:
+    def _plan(self, n: int, members, delta: float) -> None:
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must be in (0,1), got {delta}")
         self.n = n
@@ -137,15 +146,11 @@ class ForestSketchBank:
                 raise ValueError(f"member {v} not in 0..{n - 1}")
         self._member_pos = {v: i for i, v in enumerate(self.members)}
         self.delta = delta
-        self.seed = seed
         self.rounds = round_count(n)
         self.universe = pair_universe(n)
         self.levels = level_count(self.universe)
         self._sketch_delta = sketch_delta(n, len(self.members), delta)
         self.reps = repetition_count(self._sketch_delta)
-        self._round_seeds = [derive_seed(seed, "round", r) for r in range(self.rounds)]
-        # (rep_seeds, subsample_seed, z) of each round, shared by all members
-        self._seeds = [sketch_seeds(s, self.reps) for s in self._round_seeds]
         self._store: SketchStore | None = None
         self._index = 0
         self._offset = 0
@@ -204,7 +209,7 @@ class ForestSketchBank:
                 | cells[1][:, 0].any(axis=1)
                 | cells[2][:, 0].any(axis=1)
             ).tolist()
-            z = self._seeds[r][2]
+            z = self._store.z[r]
             sampled: list[tuple[int, int]] = []
             for root in sorted(comps):
                 positions = comps[root]
@@ -236,7 +241,7 @@ class ForestSketchBank:
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
         """A copy of one member's round sketch, as an L0Sketch (tests, demos)."""
         pos = self._member_pos[vertex]
-        sk = L0Sketch(self.universe, self._sketch_delta, self._round_seeds[round_])
+        sk = L0Sketch(self.universe, self._sketch_delta, self._store.round_seed(round_))
         sk.counts, sk.index_sums, sk.fingerprints = (
             b[pos, round_].T.copy() for b in self._blocks()
         )
@@ -260,42 +265,51 @@ def _merged(cells, positions: list[int]):
 class SketchStore:
     """The cells of many forest banks in three flat int64 arrays.
 
-    See the module docstring for the layout. Cells are allocated with
-    np.zeros and never pre-touched, so pages of cells no event reaches
-    stay unbacked. Per-row tables, one row per (bank, round, rep), hold
-    what the vectorized update needs: the repetition seed, the
-    subsampling seed, and the cell of member 0 at level 0.
+    See the module docstring for the layout and the seeding. Cells are
+    allocated with np.zeros and never pre-touched, so pages of cells no
+    event reaches stay unbacked. Per-row tables, one row per (bank, round,
+    rep), hold what the vectorized update needs: the row's position
+    round * max_reps + rep in the round batteries, and the cell of member
+    0 at level 0.
     """
 
-    def __init__(self, n: int, banks: list[ForestSketchBank]):
+    def __init__(self, n: int, banks: list[ForestSketchBank], seed: int):
         self.n = n
+        self.seed = seed
+        self._rounds = round_count(n)
+        self._levels = level_count(pair_universe(n))
+        self._reps = np.array([bank.reps for bank in banks], dtype=np.int64)
+        self._max_reps = int(self._reps.max())
+        rep_seeds, sub_seeds, self.z = zip(
+            *(sketch_seeds(self.round_seed(r), self._max_reps) for r in range(self._rounds))
+        )
+        # [round, rep] and [round, 1]: one hash draws the levels of every round
+        self._round_rep_seeds = np.stack(rep_seeds)
+        self._round_sub_seeds = np.array(sub_seeds, dtype=np.uint64)[:, None]
         # _slot[v, b]: position of vertex v among bank b's members, or -1
         self._slot = np.full((n, len(banks)), -1, dtype=np.int64)
-        self._z: list[list[int]] = []
-        rep_seeds, sub_seeds, row_cells = [], [], []
+        rounds = np.arange(self._rounds)[:, None]
+        row_keys, row_cells = [], []
         offset = 0
         for b, bank in enumerate(banks):
             bank._store, bank._index, bank._offset = self, b, offset
             self._slot[list(bank.members), b] = np.arange(len(bank.members))
-            per_round = bank.levels * bank.reps
-            for r, (reps_seeds, sub_seed, _) in enumerate(bank._seeds):
-                rep_seeds.append(reps_seeds)
-                sub_seeds.append(np.full(bank.reps, sub_seed, dtype=np.uint64))
-                row_cells.append(offset + r * per_round + np.arange(bank.reps))
-            self._z.append([z for _, _, z in bank._seeds])
+            reps = np.arange(bank.reps)
+            row_keys.append((rounds * self._max_reps + reps).ravel())
+            row_cells.append((offset + rounds * bank.levels * bank.reps + reps).ravel())
             offset += bank.cell_count
-        self._rounds = round_count(n)
-        self._levels = level_count(pair_universe(n))
-        self._reps = np.array([bank.reps for bank in banks], dtype=np.int64)
         self._rows = self._rounds * self._reps
         self._row_start = np.cumsum(self._rows) - self._rows
         self._member_stride = self._levels * self._rows
-        self._rep_seeds = np.concatenate(rep_seeds)
-        self._sub_seeds = np.concatenate(sub_seeds)
+        self._row_keys = np.concatenate(row_keys)
         self._row_cells = np.concatenate(row_cells)
         self.counts = np.zeros(offset, dtype=np.int64)
         self.index_sums = np.zeros(offset, dtype=np.int64)
         self.fingerprints = np.zeros(offset, dtype=np.int64)
+
+    def round_seed(self, r: int) -> int:
+        """Seed of round r's battery, shared by every bank of the store."""
+        return derive_seed(self.seed, "round", r)
 
     def update(self, e: UpdateEvent) -> None:
         """Fold an already validated event into every bank holding both endpoints."""
@@ -310,13 +324,16 @@ class SketchStore:
         Every bank in hit must hold both endpoints, and lo < hi.
         """
         idx = pair_index(lo, hi, self.n)
+        depths = 1 + deepest_levels(
+            self._round_sub_seeds, self._round_rep_seeds, idx, self._levels
+        ).ravel()
+        zpow = np.array([pow(z, idx, PRIME) for z in self.z], dtype=np.int64)
         reps = self._reps[hit]
         per_bank = self._rows[hit]
         rows = _ragged_arange(self._row_start[hit], per_bank)
+        keys = self._row_keys[rows]
         # a row's cells are its levels 0..deepest, reps apart
-        depth = 1 + deepest_levels(
-            self._sub_seeds[rows], self._rep_seeds[rows], idx, self._levels
-        )
+        depth = depths[keys]
         stride = self._member_stride[hit]
         lo_slot, hi_slot = self._slot[lo, hit], self._slot[hi, hit]
         lo_rows = self._row_cells[rows] + np.repeat(lo_slot * stride, per_bank)
@@ -324,9 +341,7 @@ class SketchStore:
         level_step = np.repeat(np.repeat(reps, per_bank), depth)
         lo_cells = _ragged_arange(lo_rows, depth, level_step)
         hi_cells = lo_cells + np.repeat(hi_shift, depth)
-        zpow = [pow(z, idx, PRIME) for b in hit.tolist() for z in self._z[b]]
-        row_z = np.repeat(np.array(zpow, dtype=np.int64), np.repeat(reps, self._rounds))
-        dz = delta * np.repeat(row_z, depth)
+        dz = delta * np.repeat(zpow[keys // self._max_reps], depth)
         self.counts[lo_cells] += delta
         self.counts[hi_cells] -= delta
         self.index_sums[lo_cells] += delta * idx

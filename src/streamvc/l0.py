@@ -88,7 +88,11 @@ def serialized_size(reps: int, levels: int) -> int:
 
 
 def sketch_seeds(seed: int, reps: int) -> tuple[np.ndarray, int, int]:
-    """(rep_seeds, subsample_seed, z) that a sketch derives from its seed."""
+    """(rep_seeds, subsample_seed, z) that a sketch derives from its seed.
+
+    The rep_seeds of fewer repetitions are a prefix of those of more, so a
+    battery drawn for the most repetitions serves every smaller sketch.
+    """
     rep_seeds = mix_u64(derive_seed(seed, "rep-seeds"), np.arange(reps))
     z = 1 + derive_seed(seed, "fingerprint-base") % (PRIME - 1)
     return rep_seeds, derive_seed(seed, "subsample"), z
@@ -101,8 +105,8 @@ def deepest_levels(
 
     Level l admits a coordinate when its hash has at least l trailing
     zero bits, so the coordinate also lands in every shallower level.
-    subsample_seed is one sketch's seed, or a uint64 array with the
-    subsample seed of each entry of rep_seeds (many sketches at once).
+    subsample_seed is one sketch's seed, or a uint64 array of subsample
+    seeds that broadcasts against rep_seeds (many batteries at once).
     """
     x = mix_u64(subsample_seed, rep_seeds + np.uint64(index))
     lowbit = x & (~x + np.uint64(1))
@@ -132,25 +136,17 @@ class L0Sketch:
 
     # -- update path ---------------------------------------------------
 
-    def active_mask(self, index: int) -> np.ndarray:
-        """Bool[reps, levels]: which cells index lands in (nested levels)."""
-        limits = deepest_levels(self._subsample_seed, self.rep_seeds, index, self.levels)
-        return np.arange(self.levels)[None, :] <= limits[:, None]
-
     def update(self, index: int, delta: int) -> "L0Sketch":
+        """Add delta at index to every cell index lands in (nested levels)."""
         if not (0 <= index < self.universe):
             raise IndexError(f"index {index} not in 0..{self.universe - 1}")
-        self.apply_masked(self.active_mask(index), index, delta, self.zpow(index))
-        return self
-
-    def zpow(self, index: int) -> int:
-        return pow(self.z, index, PRIME)
-
-    def apply_masked(self, mask: np.ndarray, index: int, delta: int, zpow: int) -> None:
-        """Raw cell update with a precomputed mask/power (hot path for banks)."""
+        limits = deepest_levels(self._subsample_seed, self.rep_seeds, index, self.levels)
+        mask = np.arange(self.levels)[None, :] <= limits[:, None]
         self.counts += delta * mask
         self.index_sums += (delta * index) * mask
+        zpow = pow(self.z, index, PRIME)
         self.fingerprints = (self.fingerprints + (delta * zpow) * mask) % PRIME
+        return self
 
     # -- merge ---------------------------------------------------------
 

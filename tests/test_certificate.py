@@ -35,7 +35,7 @@ from streamvc.instances import (
     path_graph,
     random_disjointness,
 )
-from streamvc.l0 import L0Sketch, level_count
+from streamvc.l0 import PRIME, L0Sketch, level_count
 from streamvc.oracle import is_k_connected
 from streamvc.seeds import derive_seed
 
@@ -272,7 +272,7 @@ def test_stream_cells_equal_reference_sketches(n, k):
         ]
         offset += size
         for r in range(rounds):
-            round_seed = derive_seed(params.bank_seed(i), "round", r)
+            round_seed = derive_seed(derive_seed(params.seed, "sketch"), "round", r)
             for pos, v in enumerate(members.tolist()):
                 ref = L0Sketch(universe, sketch_delta, round_seed)
                 for e in events:
@@ -285,6 +285,33 @@ def test_stream_cells_equal_reference_sketches(n, k):
                     assert np.array_equal(got[pos, r].T, want)
     assert offset == len(store.counts) == len(store.fingerprints)
     if (n, k) == (8, 3):
+        assert sizes == {0, 1, 2}  # empty and single-member banks are covered
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (12, 2), (16, 3)])
+def test_stream_state_is_linear_across_certifiers(n, k):
+    """Two certifiers fed an edge-wise split of a stream sum to the whole stream's store."""
+    events = gen_random_stream(n, 0.3, 0.3, seed=60 + n + k)
+    params = CertParams(n=n, k=k, scale_c=2, seed=61 + n * k, delta=0.05)
+    # every edge keeps all its events, in order, on one side, so both halves are legal
+    side = np.random.default_rng(62 + n).integers(0, 2, size=n * (n - 1) // 2)
+    halves = [[], []]
+    for e in events:
+        halves[side[pair_index(e.i, e.j, n)]].append(e)
+    assert halves[0] and halves[1]
+    whole, *parts = (StreamCertifier(params) for _ in range(3))
+    for certifier, stream in zip((whole, *parts), (events, *halves)):
+        for e in stream:
+            certifier.update(e)
+    a, b = (c.store for c in parts)
+    assert np.array_equal(a.counts + b.counts, whole.store.counts)
+    assert np.array_equal(a.index_sums + b.index_sums, whole.store.index_sums)
+    assert np.array_equal(
+        (a.fingerprints + b.fingerprints) % PRIME, whole.store.fingerprints
+    )
+    assert whole.store.counts.any()
+    if (n, k) == (8, 3):
+        sizes = {min(len(bank.members), 2) for bank in whole.banks}
         assert sizes == {0, 1, 2}  # empty and single-member banks are covered
 
 
