@@ -17,13 +17,9 @@ succeeds, induce the same per-subset component partitions. The dynamic
 certifier's byte footprint is a pure function of its parameters, so a
 space cap is enforced before any cell is allocated.
 
-Subsets are sampled independently, but the banks share their sketch
-randomness: the store derives one battery per contraction round from the
-single seed derive_seed(seed, "sketch"). That is sound because each
-forest's failure bound is a union bound over its own bank's samples,
-which never uses independence between banks, and each round's battery
-is fresh, so the components formed in earlier rounds are independent of
-it.
+Subsets are sampled independently; the banks share the store's sketch
+randomness, seeded with derive_seed(seed, "sketch") (why that is sound:
+see the streamvc.forest module docstring).
 """
 from __future__ import annotations
 
@@ -73,12 +69,13 @@ class CertParams:
 
     @property
     def num_forests(self) -> int:
-        r = max(1, math.ceil(self.scale_c * self.k * self.k * math.log(self.n)))
         if self.k == 1:
-            # every subset is the full vertex set; a logarithmic number of
-            # independent forest attempts already drives failure to n^-O(1)
-            r = min(r, math.ceil(8.0 * math.log(max(self.n, 2))) + 1)
-        return r
+            # every subset is the full vertex set, and one spanning forest of
+            # the graph is connected iff the graph is; more forests would
+            # repeat it (sketch banks with the same members hold the same
+            # cells), so delta is the failure budget of the whole run
+            return 1
+        return max(1, math.ceil(self.scale_c * self.k * self.k * math.log(self.n)))
 
     @property
     def resolved_delta(self) -> float:

@@ -24,7 +24,11 @@ L0Sketch(universe, sketch_delta, round_seed) derives, so the cells of one
 incidence updates. Sharing a battery across banks is sound: a bank's
 failure bound is a union bound over its own samples and never uses
 independence between banks, and each round's battery is fresh, so the
-components that earlier rounds formed are independent of it.
+components that earlier rounds formed are independent of it. What
+sharing gives up is independence between banks' failures: banks with the
+same members hold identical cells and fail together, so a second bank
+over the same member set is no second attempt (the certifier builds one
+bank for k = 1, where every subset is the whole vertex set).
 
 An event is folded into all the banks holding both endpoints in one
 vectorized pass: one hash over [round, rep], one z^index per round, and

@@ -136,17 +136,25 @@ class L0Sketch:
 
     # -- update path ---------------------------------------------------
 
+    def active_mask(self, index: int) -> np.ndarray:
+        """Bool[reps, levels]: which cells index lands in (nested levels)."""
+        limits = deepest_levels(self._subsample_seed, self.rep_seeds, index, self.levels)
+        return np.arange(self.levels)[None, :] <= limits[:, None]
+
     def update(self, index: int, delta: int) -> "L0Sketch":
-        """Add delta at index to every cell index lands in (nested levels)."""
         if not (0 <= index < self.universe):
             raise IndexError(f"index {index} not in 0..{self.universe - 1}")
-        limits = deepest_levels(self._subsample_seed, self.rep_seeds, index, self.levels)
-        mask = np.arange(self.levels)[None, :] <= limits[:, None]
+        self.apply_masked(self.active_mask(index), index, delta, self.zpow(index))
+        return self
+
+    def zpow(self, index: int) -> int:
+        return pow(self.z, index, PRIME)
+
+    def apply_masked(self, mask: np.ndarray, index: int, delta: int, zpow: int) -> None:
+        """Raw cell update with a precomputed mask and power (the second half of update)."""
         self.counts += delta * mask
         self.index_sums += (delta * index) * mask
-        zpow = pow(self.z, index, PRIME)
         self.fingerprints = (self.fingerprints + (delta * zpow) * mask) % PRIME
-        return self
 
     # -- merge ---------------------------------------------------------
 

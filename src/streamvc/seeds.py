@@ -4,12 +4,8 @@ Every random choice in the package flows from one root seed through
 labelled derivations, so whole runs replay bit-for-bit. Labels are plain
 strings/ints, e.g. derive_seed(seed, "subset", i) for the i-th sampled
 vertex subset and derive_seed(derive_seed(seed, "sketch"), "round", r)
-for the sketch battery of contraction round r.
-
-Subsets get one seed each, but the sketch batteries are shared by every
-bank: a bank's failure bound is a union bound over its own samples and
-never uses independence between banks, and each round's battery is
-fresh, so the components formed in earlier rounds are independent of it.
+for the sketch battery of contraction round r, which every bank shares
+(see the streamvc.forest module docstring).
 """
 from __future__ import annotations
 

@@ -72,6 +72,16 @@ def test_subsets_full_for_k_one():
     assert p.num_forests <= 26
 
 
+def test_k_one_builds_a_single_bank():
+    # banks over the same members would share every cell, so k=1 builds one
+    params = CertParams(n=20, k=1, scale_c=5, seed=3, delta=0.05)
+    assert params.num_forests == 1
+    certifier = StreamCertifier(params)
+    assert [bank.members for bank in certifier.banks] == [tuple(range(20))]
+    assert len(certifier.finalize().forests) == 1
+    assert len(build_certificate_offline(path_graph(20), params).forests) == 1
+
+
 def test_subsets_deterministic_and_concentrated():
     p = CertParams(n=1000, k=10, scale_c=2, seed=9)
     a = sample_subsets(p)
