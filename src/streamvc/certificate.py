@@ -9,13 +9,22 @@ is; the converse holds with high probability: vertex pairs with at least
 endpoints have fewer than 2k disjoint paths is captured outright by some
 subset that contains both endpoints and misses the separating vertices.
 
-Both an offline builder (exact union-find forests on the materialized
-graph) and a single-pass dynamic-stream certifier (one sketch bank per
-subset, all banks' cells in one flat SketchStore) are provided; with the
-same seed they sample the same subsets and, when every extraction
-succeeds, induce the same per-subset component partitions. The dynamic
-certifier's byte footprint is a pure function of its parameters, so a
-space cap is enforced before any cell is allocated.
+Both an offline builder (exact forests of the materialized graph) and a
+single-pass dynamic-stream certifier (one sketch bank per subset, all
+banks' cells in one flat SketchStore) are provided; with the same seed
+they sample the same subsets and, when every extraction succeeds, induce
+the same per-subset component partitions. The dynamic certifier's byte
+footprint is a pure function of its parameters, so a space cap is
+enforced before any cell is allocated.
+
+The offline builder contracts every subset at once, a block of subsets
+at a time, in the round-synchronous Boruvka structure that the sketch
+extraction also follows (Ahn, Guha, McGregor, SODA 2012): each round,
+every component hooks onto the far end of its lowest-weight crossing
+edge, with an edge's weight its rank in g.sorted_edges(). Distinct
+weights make each subset's minimum spanning forest unique, so the pass
+keeps exactly the forest that Kruskal's algorithm keeps when it scans
+the induced edges in sorted order.
 
 Subsets are sampled independently; the banks share the store's sketch
 randomness, seeded with derive_seed(seed, "sketch") (why that is sound:
@@ -31,7 +40,7 @@ import numpy as np
 
 from .errors import SpaceExceededError
 from .forest import ForestSketchBank, SketchStore, bank_bytes
-from .graph import EdgeSet, MultiGraph, UnionFind, UpdateEvent
+from .graph import EdgeSet, MultiGraph, UpdateEvent
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
 
@@ -39,6 +48,9 @@ PAPER_SCALE = 200.0
 TEST_SCALE = 20.0
 # version of Certificate.to_json_dict's layout; from_json rejects others
 JSON_SCHEMA = 1
+# subsets sampled, sized and (offline) contracted per block: bounds the
+# scratch arrays to about this many rows of n vertices and m edges
+FOREST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -62,8 +74,8 @@ class CertParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.scale_c <= 0:
-            raise ValueError(f"scale_c must be positive, got {self.scale_c}")
+        if not 0 < self.scale_c < math.inf:  # also false for nan
+            raise ValueError(f"scale_c must be positive and finite, got {self.scale_c}")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
 
@@ -75,7 +87,10 @@ class CertParams:
             # repeat it (sketch banks with the same members hold the same
             # cells), so delta is the failure budget of the whole run
             return 1
-        return max(1, math.ceil(self.scale_c * self.k * self.k * math.log(self.n)))
+        count = self.scale_c * self.k * self.k * math.log(self.n)
+        if count == math.inf:
+            raise ValueError(f"forest count C * k^2 * ln n overflows at C={self.scale_c}")
+        return max(1, math.ceil(count))
 
     @property
     def resolved_delta(self) -> float:
@@ -154,39 +169,84 @@ class Certificate:
         )
 
 
+def _subset_blocks(params: CertParams):
+    """The r sampled subsets, FOREST_BLOCK at a time: (seeds, [b, n] masks).
+
+    Each block's masks come from one subset_mask call over its seeds.
+    """
+    r = params.num_forests
+    for lo in range(0, r, FOREST_BLOCK):
+        seeds = [params.subset_seed(i) for i in range(lo, min(lo + FOREST_BLOCK, r))]
+        yield seeds, subset_mask(np.array(seeds, dtype=np.uint64), params.n, params.k)
+
+
 def sample_subsets(params: CertParams) -> list[np.ndarray]:
     """The r sampled vertex subsets, as sorted member-id arrays."""
-    return [
-        np.nonzero(subset_mask(params.subset_seed(i), params.n, params.k))[0]
-        for i in range(params.num_forests)
-    ]
+    return [np.nonzero(row)[0] for _, masks in _subset_blocks(params) for row in masks]
+
+
+def _spanning_forests(earr: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Ranks (rows of earr) of the edges in the union of the subsets' forests.
+
+    One Boruvka pass over every (subset, edge) pair of the block: the
+    vertex u of subset f is node f*n + u, so the subsets' graphs are
+    disjoint and contract side by side. Each round, every component with
+    a crossing pair hooks onto the other end of its lowest-rank one; the
+    hooks form 2-cycles only where two components pick the same pair,
+    and the smaller label stays root there. Pointer jumping then
+    relabels every node by its root, and pairs inside a component drop.
+    """
+    b, n = masks.shape
+    f, rank = np.nonzero(masks[:, earr[:, 0]] & masks[:, earr[:, 1]])
+    u, v = f * n + earr[rank, 0], f * n + earr[rank, 1]
+    comp = np.arange(b * n)
+    kept = np.zeros(len(earr), dtype=bool)
+    while True:
+        cu, cv = comp[u], comp[v]
+        live = cu != cv
+        if not live.any():
+            return kept
+        u, v, rank, cu, cv = u[live], v[live], rank[live], cu[live], cv[live]
+        # pairs run in (subset, rank) order, so a component's lowest-rank
+        # crossing pair is the first one it touches
+        best = np.full(b * n, len(rank))
+        pair = np.arange(len(rank))
+        np.minimum.at(best, cu, pair)
+        np.minimum.at(best, cv, pair)
+        hooked = np.nonzero(best < len(rank))[0]
+        chosen = best[hooked]
+        kept[rank[chosen]] = True
+        other = cu[chosen] + cv[chosen] - hooked
+        parent = comp.copy()  # every label is its own parent
+        parent[hooked] = other
+        mutual = (parent[other] == hooked) & (hooked < other)
+        parent[hooked[mutual]] = hooked[mutual]
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        comp = parent
 
 
 def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
-    """Exact certificate from the materialized graph (no sketching)."""
+    """Exact certificate from the materialized graph (no sketching).
+
+    Each subset's forest is the minimum spanning forest of its induced
+    subgraph under edge weight = rank in g.sorted_edges(), found by the
+    blockwise Boruvka pass of _spanning_forests.
+    """
     if g.n != params.n:
         raise ValueError(f"graph has n={g.n}, params expect n={params.n}")
-    edges = g.sorted_edges()
-    if edges:
-        earr = np.array(edges, dtype=np.int64)
-    else:
-        earr = np.zeros((0, 2), dtype=np.int64)
-    kept: set[tuple[int, int]] = set()
+    earr = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+    kept = np.zeros(len(earr), dtype=bool)
     metas: list[ForestMeta] = []
-    budget = 0
-    for i in range(params.num_forests):
-        sseed = params.subset_seed(i)
-        mask = subset_mask(sseed, params.n, params.k)
-        size = int(mask.sum())
-        metas.append(ForestMeta(size=size, failures=0, seed=sseed))
-        budget += max(size - 1, 0)
-        if size >= 2 and len(edges) > 0:
-            sel = mask[earr[:, 0]] & mask[earr[:, 1]]
-            uf = UnionFind(params.n)
-            for u, v in earr[sel].tolist():
-                if uf.union(u, v):
-                    kept.add((u, v))
-    h = EdgeSet(params.n, kept)
+    for seeds, masks in _subset_blocks(params):
+        sizes = masks.sum(axis=1).tolist()
+        metas.extend(ForestMeta(size=s, failures=0, seed=x) for s, x in zip(sizes, seeds))
+        kept |= _spanning_forests(earr, masks)
+    h = EdgeSet(params.n, earr[kept].tolist())
+    budget = sum(max(m.size - 1, 0) for m in metas)
     assert len(h) <= budget, "certificate exceeded its forest edge budget"
     return Certificate(edges=h, params=params, forests=metas, sketch_bytes=0)
 
@@ -199,8 +259,10 @@ class StreamCertifier:
     folded into every bank that holds both endpoints in one vectorized
     pass. The measured byte footprint is a pure function of the
     parameters, so the optional cap is checked before any cell is
-    allocated. A MultiGraph of the stream (validation bookkeeping, not
-    charged to the sketch space) enforces stream legality.
+    allocated, block by block while the subsets are sampled: set-up stops
+    at the first block whose running total exceeds it. A MultiGraph of
+    the stream (validation bookkeeping, not charged to the sketch space)
+    enforces stream legality.
     """
 
     def __init__(
@@ -212,14 +274,18 @@ class StreamCertifier:
         self.params = params
         self.count_subset_bytes = count_subset_bytes
         n, delta = params.n, params.resolved_delta
-        subsets = sample_subsets(params)
-        self._sketch_bytes = sum(bank_bytes(n, len(s), delta) for s in subsets)
-        self._subset_bytes = len(subsets) * ((n + 7) // 8)
-        if space_cap_bytes is not None and self.measured_bytes() > space_cap_bytes:
-            raise SpaceExceededError(
-                f"sketch state {self.measured_bytes()} bytes exceeds cap "
-                f"{space_cap_bytes}"
-            )
+        subsets: list[np.ndarray] = []
+        self._sketch_bytes = 0
+        for _, masks in _subset_blocks(params):
+            block = [np.nonzero(row)[0] for row in masks]
+            subsets += block
+            self._sketch_bytes += sum(bank_bytes(n, len(s), delta) for s in block)
+            self._subset_bytes = len(subsets) * ((n + 7) // 8)
+            if space_cap_bytes is not None and self.measured_bytes() > space_cap_bytes:
+                raise SpaceExceededError(
+                    f"sketch state exceeds cap {space_cap_bytes}: the first "
+                    f"{len(subsets)} subsets take {self.measured_bytes()} bytes"
+                )
         self.banks = [ForestSketchBank.planned(n, s, delta) for s in subsets]
         self.store = SketchStore(n, self.banks, derive_seed(params.seed, "sketch"))
         self._graph = MultiGraph(n)

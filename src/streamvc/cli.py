@@ -158,6 +158,8 @@ def _oracle(args) -> int:
 
 
 def _check(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     started = time.perf_counter()
     n, k_file, events = streamio.read_stream(args.stream)
     k = args.k if args.k is not None else k_file

@@ -47,16 +47,21 @@ def mix_u64(seed, values: np.ndarray) -> np.ndarray:
     return splitmix64(x)
 
 
-def subset_mask(subset_seed: int, n: int, k: int) -> np.ndarray:
+def subset_mask(subset_seed, n: int, k: int) -> np.ndarray:
     """Boolean membership mask: each vertex kept with probability 1/k.
 
     Membership is a pure hash of (subset_seed, vertex), so it can be
-    recomputed instead of stored. For k=1 every vertex is kept. For k>1
-    the probability is floor(2^64/k)/2^64, i.e. 1/k up to quantization.
+    recomputed instead of stored. subset_seed is one int, giving an [n]
+    mask, or a uint64 array of r seeds, giving an [r, n] mask whose row i
+    is subset_mask(subset_seed[i], n, k). For k=1 every vertex is kept.
+    For k>1 the probability is floor(2^64/k)/2^64, i.e. 1/k up to
+    quantization.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if np.ndim(subset_seed):
+        subset_seed = np.asarray(subset_seed, dtype=np.uint64)[:, None]
     if k == 1:
-        return np.ones(n, dtype=bool)
+        return np.ones(np.broadcast_shapes(np.shape(subset_seed), (n,)), dtype=bool)
     threshold = np.uint64((1 << 64) // k)
     return mix_u64(subset_seed, np.arange(n)) < threshold

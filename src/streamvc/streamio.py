@@ -20,6 +20,8 @@ def write_stream(
     events: Iterable[UpdateEvent],
     comment: str | None = None,
 ) -> None:
+    if n < 1 or k < 1:
+        raise ValueError(f"header needs n >= 1 and k >= 1, got n={n} k={k}")
     lines = []
     if comment:
         for part in comment.splitlines():

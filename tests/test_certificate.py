@@ -37,7 +37,7 @@ from streamvc.instances import (
 )
 from streamvc.l0 import PRIME, L0Sketch, level_count
 from streamvc.oracle import is_k_connected
-from streamvc.seeds import derive_seed
+from streamvc.seeds import derive_seed, subset_mask
 
 
 def test_params_validation():
@@ -49,6 +49,11 @@ def test_params_validation():
         CertParams(n=5, k=2, scale_c=0)
     with pytest.raises(ValueError):
         CertParams(n=5, k=2, delta=2.0)
+    for scale_c in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            CertParams(n=5, k=2, scale_c=scale_c)
+    with pytest.raises(ValueError, match="overflows"):
+        CertParams(n=5, k=4, scale_c=1e308).num_forests
 
 
 def test_forest_count_formula():
@@ -89,6 +94,27 @@ def test_subsets_deterministic_and_concentrated():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     total = sum(len(s) for s in a)
     assert total <= 2 * p.num_forests * p.n / p.k
+
+
+def test_subset_mask_of_a_seed_array_equals_its_rows():
+    seeds = [derive_seed(5, "subset", i) for i in range(40)] + [0, 2**63, 2**64 - 1]
+    for n, k in [(0, 2), (1, 3), (17, 1), (17, 2), (50, 7)]:
+        masks = subset_mask(np.array(seeds, dtype=np.uint64), n, k)
+        assert masks.shape == (len(seeds), n) and masks.dtype == bool
+        for row, seed in zip(masks, seeds):
+            assert np.array_equal(row, subset_mask(seed, n, k))
+
+
+@pytest.mark.parametrize("n, k, scale_c", [(1, 2, 5), (20, 1, 5), (30, 3, 2), (60, 2, 3)])
+def test_sample_subsets_equal_the_scalar_loop(n, k, scale_c):
+    params = CertParams(n=n, k=k, scale_c=scale_c, seed=8)
+    expected = [
+        np.nonzero(subset_mask(params.subset_seed(i), n, k))[0]
+        for i in range(params.num_forests)
+    ]
+    subsets = sample_subsets(params)
+    assert len(subsets) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(subsets, expected))
 
 
 def test_offline_k6_certificate_2_connected():
@@ -254,6 +280,19 @@ def test_space_cap_checked_before_allocation():
         tracemalloc.stop()
     assert state > 100_000_000
     assert peak < state // 100
+
+
+def test_space_cap_checked_while_subsets_are_sampled():
+    # r is about 1e303: set-up must stop at the first block over the cap
+    params = CertParams(n=32, k=2, scale_c=1e300, seed=20, delta=0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceExceededError, match="subsets take"):
+            StreamCertifier(params, space_cap_bytes=1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (12, 2), (12, 3), (16, 1), (16, 2)])

@@ -298,3 +298,43 @@ def test_gen_planted_and_random_validate(tmp_path, capsys):
     assert code == 0
     code, report, _ = run_cli(capsys, "certify", str(path), "--mode", "offline", "--oracle")
     assert code == 1 and report["oracle_verdict"] is False
+
+
+@pytest.mark.parametrize("scale_c", ["inf", "nan", "1e308"])
+def test_certify_non_finite_scale_exit_2(tmp_path, capsys, scale_c):
+    path = tmp_path / "k6.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(6)", "--k", "4", "--out", str(path))
+    for mode in ("offline", "dynamic"):
+        code, out, err = run_cli(
+            capsys, "certify", str(path), "--mode", mode, "--scale-c", scale_c
+        )
+        assert code == 2 and out is None
+        assert err["error"].startswith("ValueError")
+
+
+def test_certify_huge_scale_stops_at_the_space_cap(tmp_path, capsys):
+    path = tmp_path / "k8.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(8)", "--k", "2", "--out", str(path))
+    code, _, err = run_cli(
+        capsys, "certify", str(path), "--scale-c", "1e300", "--delta", "0.1",
+        "--space-cap-bytes", "1000000",
+    )
+    assert code == 2
+    assert "SpaceExceeded" in err["error"]
+
+
+def test_check_negative_trials_exit_2(tmp_path, capsys):
+    path = tmp_path / "k5.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    code, out, err = run_cli(capsys, "check", str(path), "--trials", "-1")
+    assert code == 2 and out is None
+    assert "trials" in err["error"]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_random_without_vertices_exit_2(tmp_path, capsys, n):
+    path = tmp_path / "empty.stream"
+    code, out, err = run_cli(capsys, "gen", "random", "--n", n, "--out", str(path))
+    assert code == 2 and out is None
+    assert "ValueError" in err["error"]
+    assert not path.exists()
