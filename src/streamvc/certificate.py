@@ -186,7 +186,7 @@ def sample_subsets(params: CertParams) -> list[np.ndarray]:
 
 
 def _spanning_forests(earr: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Ranks (rows of earr) of the edges in the union of the subsets' forests.
+    """Mask over the rows of earr: the edges of the union of the subsets' forests.
 
     One Boruvka pass over every (subset, edge) pair of the block: the
     vertex u of subset f is node f*n + u, so the subsets' graphs are
