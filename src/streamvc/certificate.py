@@ -255,7 +255,8 @@ class StreamCertifier:
     """Single-pass dynamic-stream certifier: one sketch bank per subset.
 
     The banks' cells live in one SketchStore (three flat int64 arrays and
-    one sketch battery per round, see streamvc.forest), and each event is
+    one sketch battery per round, see streamvc.forest), each bank a row
+    of it and self.banks[i] a ForestSketchBank view of row i. Each event is
     folded into every bank that holds both endpoints in one vectorized
     pass. The measured byte footprint is a pure function of the
     parameters, so the optional cap is checked before any cell is
@@ -274,20 +275,25 @@ class StreamCertifier:
         self.params = params
         self.count_subset_bytes = count_subset_bytes
         n, delta = params.n, params.resolved_delta
-        subsets: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
+        self._subset_seeds: list[int] = []
         self._sketch_bytes = 0
-        for _, masks in _subset_blocks(params):
-            block = [np.nonzero(row)[0] for row in masks]
-            subsets += block
-            self._sketch_bytes += sum(bank_bytes(n, len(s), delta) for s in block)
-            self._subset_bytes = len(subsets) * ((n + 7) // 8)
+        for seeds, masks in _subset_blocks(params):
+            blocks.append(masks)
+            self._subset_seeds += seeds
+            sizes, banks = np.unique(masks.sum(axis=1), return_counts=True)
+            self._sketch_bytes += sum(
+                b * bank_bytes(n, m, delta) for m, b in zip(sizes.tolist(), banks.tolist())
+            )
+            self._subset_bytes = len(self._subset_seeds) * ((n + 7) // 8)
             if space_cap_bytes is not None and self.measured_bytes() > space_cap_bytes:
                 raise SpaceExceededError(
                     f"sketch state exceeds cap {space_cap_bytes}: the first "
-                    f"{len(subsets)} subsets take {self.measured_bytes()} bytes"
+                    f"{len(self._subset_seeds)} subsets take {self.measured_bytes()} bytes"
                 )
-        self.banks = [ForestSketchBank.planned(n, s, delta) for s in subsets]
-        self.store = SketchStore(n, self.banks, derive_seed(params.seed, "sketch"))
+        sketch_seed = derive_seed(params.seed, "sketch")
+        self.store = SketchStore(n, np.concatenate(blocks), delta, sketch_seed)
+        self.banks = [ForestSketchBank.view(self.store, b) for b in range(len(self._subset_seeds))]
         self._graph = MultiGraph(n)
 
     def measured_bytes(self) -> int:
@@ -302,16 +308,11 @@ class StreamCertifier:
     def finalize(self) -> Certificate:
         kept: set[tuple[int, int]] = set()
         metas: list[ForestMeta] = []
-        for i, bank in enumerate(self.banks):
+        sizes = self.store.sizes.tolist()
+        for bank, size, seed in zip(self.banks, sizes, self._subset_seeds):
             extraction = bank.extract()
             kept.update(extraction.forest.edges)
-            metas.append(
-                ForestMeta(
-                    size=len(bank.members),
-                    failures=extraction.sample_failures,
-                    seed=self.params.subset_seed(i),
-                )
-            )
+            metas.append(ForestMeta(size=size, failures=extraction.sample_failures, seed=seed))
         h = EdgeSet(self.params.n, kept)
         assert len(h) <= sum(
             max(m.size - 1, 0) for m in metas

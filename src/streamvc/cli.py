@@ -25,6 +25,8 @@ from .seeds import derive_seed
 
 def _gen(args) -> int:
     if args.kind == "named":
+        if args.name is None:
+            raise ValueError("gen named needs --name, e.g. --name 'complete(5)'")
         g = instances.gen_named(args.name)
         events = instances.edges_to_stream(g)
         streamio.write_stream(args.out, g.n, args.k, events, comment=f"named {args.name}")

@@ -11,9 +11,14 @@ samples; components at least halve per successful round, so
 ceil(log2 n) + 1 rounds suffice.
 
 State layout. The cells of every bank live in one SketchStore: three flat
-int64 arrays (count, index sum, fingerprint). A bank owns one contiguous
-block of them, laid out [member, round, level, rep] with the bank's own
-repetition count, so the store is ragged and holds no padding.
+int64 arrays (count, index sum, fingerprint). A bank is a row of the
+store: its members, its repetition count and the offset of its one
+contiguous block of cells, laid out [member, round, level, rep]. The
+repetition count depends only on the number of members, so the store
+works it out once per distinct subset size and lays out every bank's
+offset with one cumsum; the store is ragged and holds no padding.
+ForestSketchBank is a view of one row: built directly, it makes a store
+that holds just that bank.
 
 Randomness. The store owns one seed and derives one sketch battery per
 round, sketch_seeds(derive_seed(seed, "round", r), max_reps): repetition
@@ -36,6 +41,7 @@ one fancy-indexed add per field and endpoint.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,11 +107,22 @@ def sketch_delta(n: int, member_count: int, delta: float) -> float:
     return min(0.5, delta / max(1, round_count(n) * member_count))
 
 
-def bank_bytes(n: int, member_count: int, delta: float) -> int:
-    """Serialized bytes of a bank's sketches, a pure function of its parameters."""
+@functools.cache
+def bank_shape(n: int, member_count: int, delta: float) -> tuple[int, int]:
+    """(repetitions, serialized bytes) of a bank with member_count members.
+
+    A pure function of its parameters, memoized so that the space-cap
+    check, the store's layout and serialized_size share one computation
+    per distinct subset size.
+    """
     reps = repetition_count(sketch_delta(n, member_count, delta))
     size = serialized_size(reps, level_count(pair_universe(n)))
-    return member_count * round_count(n) * size
+    return reps, member_count * round_count(n) * size
+
+
+def bank_bytes(n: int, member_count: int, delta: float) -> int:
+    """Serialized bytes of a bank's sketches, a pure function of its parameters."""
+    return bank_shape(n, member_count, delta)[1]
 
 
 @dataclass
@@ -116,69 +133,48 @@ class ForestExtraction:
     sample_failures: int
     rounds_used: int
 
-    @property
-    def failed(self) -> bool:
-        return self.sample_failures > 0
-
 
 class ForestSketchBank:
-    """Per-vertex sketch batteries for one induced subgraph's members.
+    """One bank of a SketchStore: a view of the store's row `index`.
 
-    A bank built directly owns a store of its own, seeded with the bank's
-    seed; the dynamic certifier builds planned banks and lays them all out
-    in one SketchStore, whose seed and round batteries they share.
+    Built directly, a bank makes a store of its own that holds just this
+    bank and is seeded with the bank's seed; the dynamic certifier's
+    banks are views (ForestSketchBank.view) of its one shared store.
     """
 
     def __init__(self, n: int, members, delta: float, seed: int):
-        self._plan(n, members, delta)
-        SketchStore(n, [self], seed)
-
-    @classmethod
-    def planned(cls, n: int, members, delta: float) -> "ForestSketchBank":
-        """A bank with its layout but no cells or seeds until a store takes it."""
-        bank = cls.__new__(cls)
-        bank._plan(n, members, delta)
-        return bank
-
-    def _plan(self, n: int, members, delta: float) -> None:
-        if not (0.0 < delta < 1.0):
-            raise ValueError(f"delta must be in (0,1), got {delta}")
-        self.n = n
-        self.members = tuple(sorted(set(int(v) for v in members)))
-        for v in self.members:
+        members = [int(v) for v in members]
+        for v in members:
             if not (0 <= v < n):
                 raise ValueError(f"member {v} not in 0..{n - 1}")
-        self._member_pos = {v: i for i, v in enumerate(self.members)}
-        self.delta = delta
-        self.rounds = round_count(n)
-        self.universe = pair_universe(n)
-        self.levels = level_count(self.universe)
-        self._sketch_delta = sketch_delta(n, len(self.members), delta)
-        self.reps = repetition_count(self._sketch_delta)
-        self._store: SketchStore | None = None
-        self._index = 0
-        self._offset = 0
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, members] = True
+        self.store = SketchStore(n, mask, delta, seed)
+        self.index = 0
+
+    @classmethod
+    def view(cls, store: "SketchStore", index: int) -> "ForestSketchBank":
+        """The bank in row index of store."""
+        bank = cls.__new__(cls)
+        bank.store, bank.index = store, index
+        return bank
 
     @property
-    def cell_count(self) -> int:
-        return len(self.members) * self.rounds * self.levels * self.reps
+    def members(self) -> tuple[int, ...]:
+        """The member vertices, in increasing order."""
+        return tuple(np.flatnonzero(self.store._slot[:, self.index] >= 0).tolist())
 
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The bank's counts, index sums and fingerprints as [member, round, level, rep] views."""
-        shape = (len(self.members), self.rounds, self.levels, self.reps)
-        cells = slice(self._offset, self._offset + self.cell_count)
-        store = self._store
-        return tuple(
-            a[cells].reshape(shape)
-            for a in (store.counts, store.index_sums, store.fingerprints)
-        )
+    @property
+    def rounds(self) -> int:
+        return self.store.rounds
 
     def update(self, e: UpdateEvent) -> "ForestSketchBank":
         """Fold one stream event in; no-op unless both endpoints are members."""
-        validate_event(e, self.n)
+        store = self.store
+        validate_event(e, store.n)
         lo, hi = min(e.i, e.j), max(e.i, e.j)
-        if lo in self._member_pos and hi in self._member_pos:
-            self._store.fold(np.array([self._index]), lo, hi, e.delta)
+        if store._slot[lo, self.index] >= 0 and store._slot[hi, self.index] >= 0:
+            store.fold(np.array([self.index]), lo, hi, e.delta)
         return self
 
     def extract(self) -> ForestExtraction:
@@ -191,17 +187,19 @@ class ForestSketchBank:
         set, which the fingerprint makes astronomically unlikely) are
         counted, not fatal.
         """
-        members = self.members
-        forest = EdgeSet(self.n)
-        if len(members) <= 1:
+        store = self.store
+        size = int(store.sizes[self.index])
+        forest = EdgeSet(store.n)
+        if size <= 1:
             return ForestExtraction(forest, 0, 0)
-        blocks = self._blocks()
-        uf = UnionFind(len(members))
+        blocks = store.blocks(self.index)
+        slot = store._slot[:, self.index].tolist()
+        uf = UnionFind(size)
         failures = 0
         rounds_used = 0
-        for r in range(self.rounds):
+        for r in range(store.rounds):
             comps: dict[int, list[int]] = {}
-            for pos in range(len(members)):
+            for pos in range(size):
                 comps.setdefault(uf.find(pos), []).append(pos)
             if len(comps) == 1:
                 break
@@ -213,7 +211,6 @@ class ForestSketchBank:
                 | cells[1][:, 0].any(axis=1)
                 | cells[2][:, 0].any(axis=1)
             ).tolist()
-            z = self._store.z[r]
             sampled: list[tuple[int, int]] = []
             for root in sorted(comps):
                 positions = comps[root]
@@ -223,31 +220,36 @@ class ForestSketchBank:
                     counts, isums, fps = (c[positions[0]] for c in cells)
                 else:
                     counts, isums, fps = _merged(cells, positions)
-                outcome = sample_cells(counts.T, isums.T, fps.T, z, self.universe)
+                outcome = sample_cells(counts.T, isums.T, fps.T, store.z[r], store.universe)
                 if outcome is FAIL:
                     failures += 1
                 elif isinstance(outcome, NonZeroIndex):
-                    u, v = pair_from_index(outcome.index, self.n)
-                    if u in self._member_pos and v in self._member_pos:
+                    u, v = pair_from_index(outcome.index, store.n)
+                    if slot[u] >= 0 and slot[v] >= 0:
                         sampled.append((u, v))
                     else:
                         failures += 1
             if not sampled:
                 break
             for u, v in sampled:
-                if uf.union(self._member_pos[u], self._member_pos[v]):
+                if uf.union(slot[u], slot[v]):
                     forest.add(u, v)
         return ForestExtraction(forest, failures, rounds_used)
 
     def serialized_size(self) -> int:
-        return bank_bytes(self.n, len(self.members), self.delta)
+        store = self.store
+        return bank_bytes(store.n, int(store.sizes[self.index]), store.delta)
 
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
         """A copy of one member's round sketch, as an L0Sketch (tests, demos)."""
-        pos = self._member_pos[vertex]
-        sk = L0Sketch(self.universe, self._sketch_delta, self._store.round_seed(round_))
+        store = self.store
+        pos = store._slot[vertex, self.index]
+        if pos < 0:
+            raise ValueError(f"vertex {vertex} is not a member of the bank")
+        delta = sketch_delta(store.n, int(store.sizes[self.index]), store.delta)
+        sk = L0Sketch(store.universe, delta, store.round_seed(round_))
         sk.counts, sk.index_sums, sk.fingerprints = (
-            b[pos, round_].T.copy() for b in self._blocks()
+            b[pos, round_].T.copy() for b in store.blocks(self.index)
         )
         return sk
 
@@ -269,51 +271,69 @@ def _merged(cells, positions: list[int]):
 class SketchStore:
     """The cells of many forest banks in three flat int64 arrays.
 
-    See the module docstring for the layout and the seeding. Cells are
-    allocated with np.zeros and never pre-touched, so pages of cells no
-    event reaches stay unbacked. Per-row tables, one row per (bank, round,
-    rep), hold what the vectorized update needs: the row's position
-    round * max_reps + rep in the round batteries, and the cell of member
-    0 at level 0.
+    masks is a [banks, n] boolean array whose row b marks the members of
+    bank b. A bank is a row of the store: its members, its repetition
+    count reps[b] (a function of its member count sizes[b], worked out
+    once per distinct count) and the offset of its [member, round, level,
+    rep] block of cells, handed out by blocks(b); ForestSketchBank is a
+    view of one row. See the module docstring for the layout and the
+    seeding. Cells are allocated with np.zeros and never pre-touched, so
+    pages of cells no event reaches stay unbacked. Per-row tables, one
+    row per (bank, round, rep), hold what the vectorized update needs:
+    the row's position round * max_reps + rep in the round batteries, and
+    the cell of member 0 at level 0. Every table is laid out with cumsum
+    and repeat over the banks, not bank by bank.
     """
 
-    def __init__(self, n: int, banks: list[ForestSketchBank], seed: int):
+    def __init__(self, n: int, masks: np.ndarray, delta: float, seed: int):
+        if not (0.0 < delta < 1.0):
+            raise ValueError(f"delta must be in (0,1), got {delta}")
         self.n = n
+        self.delta = delta
         self.seed = seed
-        self._rounds = round_count(n)
-        self._levels = level_count(pair_universe(n))
-        self._reps = np.array([bank.reps for bank in banks], dtype=np.int64)
-        self._max_reps = int(self._reps.max())
+        self.rounds = round_count(n)
+        self.universe = pair_universe(n)
+        self.levels = level_count(self.universe)
+        self.sizes = masks.sum(axis=1)
+        distinct, size_of_bank = np.unique(self.sizes, return_inverse=True)
+        reps = [bank_shape(n, m, delta)[0] for m in distinct.tolist()]
+        self.reps = np.array(reps, dtype=np.int64)[size_of_bank]
+        self._max_reps = int(self.reps.max())
         rep_seeds, sub_seeds, self.z = zip(
-            *(sketch_seeds(self.round_seed(r), self._max_reps) for r in range(self._rounds))
+            *(sketch_seeds(self.round_seed(r), self._max_reps) for r in range(self.rounds))
         )
         # [round, rep] and [round, 1]: one hash draws the levels of every round
         self._round_rep_seeds = np.stack(rep_seeds)
         self._round_sub_seeds = np.array(sub_seeds, dtype=np.uint64)[:, None]
         # _slot[v, b]: position of vertex v among bank b's members, or -1
-        self._slot = np.full((n, len(banks)), -1, dtype=np.int64)
-        rounds = np.arange(self._rounds)[:, None]
-        row_keys, row_cells = [], []
-        offset = 0
-        for b, bank in enumerate(banks):
-            bank._store, bank._index, bank._offset = self, b, offset
-            self._slot[list(bank.members), b] = np.arange(len(bank.members))
-            reps = np.arange(bank.reps)
-            row_keys.append((rounds * self._max_reps + reps).ravel())
-            row_cells.append((offset + rounds * bank.levels * bank.reps + reps).ravel())
-            offset += bank.cell_count
-        self._rows = self._rounds * self._reps
+        self._slot = np.where(masks, np.cumsum(masks, axis=1) - 1, -1).T.copy()
+        cells = self.sizes * self.rounds * self.levels * self.reps
+        self._offset = np.cumsum(cells) - cells
+        # rows run round-major, rep-minor within a bank
+        self._rows = self.rounds * self.reps
         self._row_start = np.cumsum(self._rows) - self._rows
-        self._member_stride = self._levels * self._rows
-        self._row_keys = np.concatenate(row_keys)
-        self._row_cells = np.concatenate(row_cells)
-        self.counts = np.zeros(offset, dtype=np.int64)
-        self.index_sums = np.zeros(offset, dtype=np.int64)
-        self.fingerprints = np.zeros(offset, dtype=np.int64)
+        bank = np.repeat(np.arange(len(masks)), self._rows)
+        round_, rep = np.divmod(np.arange(len(bank)) - self._row_start[bank], self.reps[bank])
+        self._row_keys = round_ * self._max_reps + rep
+        self._row_cells = self._offset[bank] + round_ * self.levels * self.reps[bank] + rep
+        self._member_stride = self.levels * self._rows
+        total = int(cells.sum())
+        self.counts = np.zeros(total, dtype=np.int64)
+        self.index_sums = np.zeros(total, dtype=np.int64)
+        self.fingerprints = np.zeros(total, dtype=np.int64)
 
     def round_seed(self, r: int) -> int:
         """Seed of round r's battery, shared by every bank of the store."""
         return derive_seed(self.seed, "round", r)
+
+    def blocks(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bank b's counts, index sums and fingerprints as [member, round, level, rep] views."""
+        shape = (int(self.sizes[b]), self.rounds, self.levels, int(self.reps[b]))
+        start = int(self._offset[b])
+        cells = slice(start, start + math.prod(shape))
+        return tuple(
+            a[cells].reshape(shape) for a in (self.counts, self.index_sums, self.fingerprints)
+        )
 
     def update(self, e: UpdateEvent) -> None:
         """Fold an already validated event into every bank holding both endpoints."""
@@ -329,10 +349,10 @@ class SketchStore:
         """
         idx = pair_index(lo, hi, self.n)
         depths = 1 + deepest_levels(
-            self._round_sub_seeds, self._round_rep_seeds, idx, self._levels
+            self._round_sub_seeds, self._round_rep_seeds, idx, self.levels
         ).ravel()
         zpow = np.array([pow(z, idx, PRIME) for z in self.z], dtype=np.int64)
-        reps = self._reps[hit]
+        reps = self.reps[hit]
         per_bank = self._rows[hit]
         rows = _ragged_arange(self._row_start[hit], per_bank)
         keys = self._row_keys[rows]

@@ -195,23 +195,39 @@ def max_vertex_disjoint_paths(
     return _SplitNetwork(g.adjacency()).max_flow(s, t, limit)
 
 
+def _lowest_witness_flow(
+    adj: list[list[int]], cutoff: int, floor: int
+) -> tuple[int, set[int] | None]:
+    """(kappa, cut): the lowest witness-pair flow below cutoff and its vertex cut.
+
+    One network serves every witness pair. Each flow is capped at the
+    running minimum, so later pairs stop augmenting once they cannot
+    lower it, and the scan stops once the minimum is at most floor. A
+    flow below its cap is a maximum flow, so the residual cut X = {v :
+    v_in reachable, v_out not} of the pair that lowers the minimum is a
+    minimum cut of that pair. (cutoff, None) when no flow falls below
+    cutoff, which includes the complete graph (no witness pairs).
+    """
+    net = _SplitNetwork(adj)
+    kappa, cut = cutoff, None
+    for s, t in _witness_pairs(adj):
+        flow = net.max_flow(s, t, kappa)
+        if flow < kappa:
+            kappa, cut = flow, net.residual_cut()
+            assert len(cut) == kappa, "residual cut size mismatch"
+            if kappa <= floor:
+                break
+    return kappa, cut
+
+
 def vertex_connectivity(g: EdgeSet) -> int:
     """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected.
 
-    Minimum of max_vertex_disjoint_paths over the witness pairs, with a
-    running cutoff so later pairs stop augmenting once they cannot lower
-    the minimum.
+    Minimum of max_vertex_disjoint_paths over the witness pairs.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    adj = g.adjacency()
-    net = _SplitNetwork(adj)
-    best = g.n - 1
-    for s, t in _witness_pairs(adj):
-        best = min(best, net.max_flow(s, t, best))
-        if best == 0:
-            break
-    return best
+    return _lowest_witness_flow(g.adjacency(), g.n - 1, 0)[0]
 
 
 def is_k_connected(g: EdgeSet, k: int) -> bool:
@@ -229,39 +245,23 @@ def is_k_connected(g: EdgeSet, k: int) -> bool:
     adj = g.adjacency()
     if min(len(a) for a in adj) < k:
         return False
-    net = _SplitNetwork(adj)
-    return all(net.max_flow(s, t, k) == k for s, t in _witness_pairs(adj))
+    return _lowest_witness_flow(adj, k, k - 1)[0] == k
 
 
 def find_vertex_cut(g: EdgeSet, k: int) -> set[int] | None:
     """Minimum vertex cut if connectivity is below k, else None.
 
-    Runs the witness pairs with a running cutoff starting at k; the cut
-    is read off the residual reachability of the first pair whose flow
-    reaches the minimum kappa: X = {v : v_in reachable, v_out not}. A
-    flow below its cutoff is a maximum flow, so that residual cut is a
-    minimum one. A disconnected graph yields the empty cut; a complete
-    graph below k returns all vertices but one (removal leaves a
-    singleton).
+    The cut of the witness scan with a running cutoff starting at k. A
+    disconnected graph yields the empty cut; a complete graph below k
+    returns all vertices but one (removal leaves a singleton).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if g.n < 2:
         raise ValueError("vertex cuts need at least 2 vertices")
-    adj = g.adjacency()
-    pairs = _witness_pairs(adj)
-    if not pairs:
+    if len(g) == g.n * (g.n - 1) // 2:
         return set(range(1, g.n)) if k > g.n - 1 else None
-    net = _SplitNetwork(adj)
-    kappa, cut = k, None
-    for s, t in pairs:
-        flow = net.max_flow(s, t, kappa)
-        if flow < kappa:
-            kappa, cut = flow, net.residual_cut()
-            assert len(cut) == kappa, "residual cut size mismatch"
-            if kappa == 0:
-                break
-    return cut
+    return _lowest_witness_flow(g.adjacency(), k, 0)[1]
 
 
 def _k_core(g: EdgeSet, k: int) -> set[int]:

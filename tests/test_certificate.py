@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from streamvc import forest
 from streamvc.certificate import (
+    FOREST_BLOCK,
     CertParams,
     Certificate,
     StreamCertifier,
@@ -362,6 +364,44 @@ def test_stream_state_is_linear_across_certifiers(n, k):
     if (n, k) == (8, 3):
         sizes = {min(len(bank.members), 2) for bank in whole.banks}
         assert sizes == {0, 1, 2}  # empty and single-member banks are covered
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (16, 2), (32, 2)])
+def test_measured_bytes_is_the_sum_of_bank_bytes(n, k):
+    params = CertParams(n=n, k=k, scale_c=5, seed=24 + n * k, delta=0.05)
+    subsets = sample_subsets(params)
+    expected = sum(bank_bytes(n, len(s), 0.05) for s in subsets)
+    expected += params.num_forests * ((n + 7) // 8)
+    assert StreamCertifier(params).measured_bytes() == expected
+    if (n, k) == (8, 3):
+        assert {0, 1} <= {len(s) for s in subsets}  # empty and single-member subsets
+
+
+def test_space_cap_message_reports_the_first_block_over_the_cap():
+    params = CertParams(n=16, k=2, scale_c=20, seed=25, delta=0.05)
+    subsets = sample_subsets(params)
+    assert len(subsets) > 2 * FOREST_BLOCK
+    totals = np.cumsum([bank_bytes(16, len(s), 0.05) + 2 for s in subsets]).tolist()
+    # the first block's total is exactly at the cap, so the second block is the first over it
+    cap = totals[FOREST_BLOCK - 1]
+    with pytest.raises(SpaceExceededError) as err:
+        StreamCertifier(params, space_cap_bytes=cap)
+    assert str(err.value) == (
+        f"sketch state exceeds cap {cap}: the first {2 * FOREST_BLOCK} subsets "
+        f"take {totals[2 * FOREST_BLOCK - 1]} bytes"
+    )
+    assert StreamCertifier(params, space_cap_bytes=totals[-1]).measured_bytes() == totals[-1]
+
+
+def test_repetition_count_runs_once_per_distinct_subset_size(monkeypatch):
+    calls = []
+    count = forest.repetition_count
+    monkeypatch.setattr(forest, "repetition_count", lambda d: calls.append(d) or count(d))
+    params = CertParams(n=12, k=3, scale_c=20, seed=26, delta=0.05)
+    forest.bank_shape.cache_clear()
+    certifier = StreamCertifier(params)
+    certifier.banks[0].serialized_size()
+    assert len(calls) == len(set(certifier.store.sizes.tolist()))
 
 
 def test_subset_byte_accounting_flag():

@@ -338,3 +338,11 @@ def test_gen_random_without_vertices_exit_2(tmp_path, capsys, n):
     assert code == 2 and out is None
     assert "ValueError" in err["error"]
     assert not path.exists()
+
+
+def test_gen_named_without_name_exit_2(tmp_path, capsys):
+    path = tmp_path / "named.stream"
+    code, out, err = run_cli(capsys, "gen", "named", "--out", str(path))
+    assert code == 2 and out is None
+    assert err["error"].startswith("ValueError") and "--name" in err["error"]
+    assert not path.exists()

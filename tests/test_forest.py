@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.forest import (
     ForestSketchBank,
     pair_from_index,
@@ -16,6 +17,7 @@ from streamvc.graph import (
 )
 from streamvc.instances import gen_random_stream
 from streamvc.l0 import NonZeroIndex
+from streamvc.seeds import derive_seed
 
 
 def bank_states_equal(a: ForestSketchBank, b: ForestSketchBank) -> bool:
@@ -200,3 +202,35 @@ def test_bank_serialized_size_counts_all_sketches():
     bank = ForestSketchBank(8, [0, 1, 2], 0.01, seed=9)
     one = bank.sketch(0, 0).serialized_size()
     assert bank.serialized_size() == one * 3 * bank.rounds
+
+
+def test_direct_bank_validates_members_and_delta():
+    for members in ([0, 8], [-1, 2]):
+        with pytest.raises(ValueError, match="member"):
+            ForestSketchBank(8, members, 0.01, seed=0)
+    for delta in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="delta"):
+            ForestSketchBank(8, [0, 1], delta, seed=0)
+
+
+def test_certifier_banks_are_views_equal_to_direct_banks():
+    """A certifier's bank and a direct bank on the same members and sketch seed agree."""
+    n = 12
+    events = gen_random_stream(n, 0.35, 0.3, seed=70)
+    params = CertParams(n=n, k=2, scale_c=2, seed=71, delta=0.05)
+    certifier = StreamCertifier(params)
+    for e in events:
+        certifier.update(e)
+    seed = derive_seed(params.seed, "sketch")
+    forests = 0
+    for b, bank in enumerate(certifier.banks):
+        direct = ForestSketchBank(n, bank.members, params.delta, seed=seed)
+        for e in events:
+            direct.update(e)
+        for got, want in zip(certifier.store.blocks(b), direct.store.blocks(0)):
+            assert np.array_equal(got, want)
+        x, y = bank.extract(), direct.extract()
+        assert x.forest == y.forest
+        assert (x.sample_failures, x.rounds_used) == (y.sample_failures, y.rounds_used)
+        forests += len(x.forest) > 0
+    assert forests > 0
