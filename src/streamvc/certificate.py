@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +252,14 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
     return Certificate(edges=h, params=params, forests=metas, sketch_bytes=0)
 
 
+def physical_memory_bytes() -> int | None:
+    """Bytes of physical memory on this host, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 class StreamCertifier:
     """Single-pass dynamic-stream certifier: one sketch bank per subset.
 
@@ -259,9 +268,11 @@ class StreamCertifier:
     of it and self.banks[i] a ForestSketchBank view of row i. Each event is
     folded into every bank that holds both endpoints in one vectorized
     pass. The measured byte footprint is a pure function of the
-    parameters, so the optional cap is checked before any cell is
-    allocated, block by block while the subsets are sampled: set-up stops
-    at the first block whose running total exceeds it. A MultiGraph of
+    parameters, so the space cap is checked before any cell is allocated,
+    block by block while the subsets are sampled: set-up stops at the
+    first block whose running total exceeds it. Without an explicit cap
+    the cap is the host's physical memory, so a forest count too large
+    to hold fails at set-up instead of sampling without end. A MultiGraph of
     the stream (validation bookkeeping, not charged to the sketch space)
     enforces stream legality.
     """
@@ -275,6 +286,8 @@ class StreamCertifier:
         self.params = params
         self.count_subset_bytes = count_subset_bytes
         n, delta = params.n, params.resolved_delta
+        if space_cap_bytes is None:
+            space_cap_bytes = physical_memory_bytes()
         blocks: list[np.ndarray] = []
         self._subset_seeds: list[int] = []
         self._sketch_bytes = 0

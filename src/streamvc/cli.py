@@ -225,7 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--scale-c", type=float, default=None)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--delta", type=float, default=None)
-    p_cert.add_argument("--space-cap-bytes", type=int, default=None)
+    p_cert.add_argument(
+        "--space-cap-bytes",
+        type=int,
+        default=None,
+        help="dynamic mode: cap on the sketch state (default: physical memory)",
+    )
     p_cert.add_argument("--paper-mode", action="store_true")
     p_cert.add_argument("--exclude-subset-bytes", action="store_true")
     p_cert.add_argument("--oracle", action="store_true", help="also report the exact verdict")

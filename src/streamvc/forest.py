@@ -13,7 +13,10 @@ ceil(log2 n) + 1 rounds suffice.
 State layout. The cells of every bank live in one SketchStore: three flat
 int64 arrays (count, index sum, fingerprint). A bank is a row of the
 store: its members, its repetition count and the offset of its one
-contiguous block of cells, laid out [member, round, level, rep]. The
+contiguous run of cells, laid out [member, round, cell]. The block of one
+(member, round) is the level-0 cell followed by the [level >= 1, rep]
+cells, 1 + (levels - 1) * reps cells in all: level 0 admits every
+coordinate, so it is the same in every repetition and is kept once. The
 repetition count depends only on the number of members, so the store
 works it out once per distinct subset size and lays out every bank's
 offset with one cumsum; the store is ragged and holds no padding.
@@ -26,7 +29,8 @@ seeds, a subsampling seed and a fingerprint base z. Every bank uses the
 first `reps` repetition seeds of that battery, which is exactly what
 L0Sketch(universe, sketch_delta, round_seed) derives, so the cells of one
 (bank, member, round) equal that reference sketch fed the member's signed
-incidence updates. Sharing a battery across banks is sound: a bank's
+incidence updates (its level-0 cell once, its deeper cells transposed to
+[level, rep]). Sharing a battery across banks is sound: a bank's
 failure bound is a union bound over its own samples and never uses
 independence between banks, and each round's battery is fresh, so the
 components that earlier rounds formed are independent of it. What
@@ -36,8 +40,11 @@ over the same member set is no second attempt (the certifier builds one
 bank for k = 1, where every subset is the whole vertex set).
 
 An event is folded into all the banks holding both endpoints in one
-vectorized pass: one hash over [round, rep], one z^index per round, and
-one fancy-indexed add per field and endpoint.
+vectorized pass: one hash over [round, rep], one z^index per round, one
+pattern of cell offsets per distinct repetition count, and one
+fancy-indexed add per field over both endpoints. Extraction reads the
+level-0 cells directly, to skip members that sample EMPTY and to sum a
+component once per round rather than once per repetition.
 """
 from __future__ import annotations
 
@@ -193,6 +200,7 @@ class ForestSketchBank:
         if size <= 1:
             return ForestExtraction(forest, 0, 0)
         blocks = store.blocks(self.index)
+        reps = int(store.reps[self.index])
         slot = store._slot[:, self.index].tolist()
         uf = UnionFind(size)
         failures = 0
@@ -205,12 +213,8 @@ class ForestSketchBank:
                 break
             rounds_used += 1
             cells = [b[:, r] for b in blocks]
-            # a member whose level-0 cells are all zero samples EMPTY
-            live = (
-                cells[0][:, 0].any(axis=1)
-                | cells[1][:, 0].any(axis=1)
-                | cells[2][:, 0].any(axis=1)
-            ).tolist()
+            # a member whose level-0 cell is zero samples EMPTY
+            live = ((cells[0][:, 0] != 0) | (cells[1][:, 0] != 0) | (cells[2][:, 0] != 0)).tolist()
             sampled: list[tuple[int, int]] = []
             for root in sorted(comps):
                 positions = comps[root]
@@ -220,7 +224,7 @@ class ForestSketchBank:
                     counts, isums, fps = (c[positions[0]] for c in cells)
                 else:
                     counts, isums, fps = _merged(cells, positions)
-                outcome = sample_cells(counts.T, isums.T, fps.T, store.z[r], store.universe)
+                outcome = sample_cells(counts, isums, fps, reps, store.z[r], store.universe)
                 if outcome is FAIL:
                     failures += 1
                 elif isinstance(outcome, NonZeroIndex):
@@ -248,24 +252,21 @@ class ForestSketchBank:
             raise ValueError(f"vertex {vertex} is not a member of the bank")
         delta = sketch_delta(store.n, int(store.sizes[self.index]), store.delta)
         sk = L0Sketch(store.universe, delta, store.round_seed(round_))
-        sk.counts, sk.index_sums, sk.fingerprints = (
-            b[pos, round_].T.copy() for b in store.blocks(self.index)
-        )
+        for a, b in zip((sk.counts, sk.index_sums, sk.fingerprints), store.blocks(self.index)):
+            block = b[pos, round_]
+            a[:, 0] = block[0]
+            a[:, 1:] = block[1:].reshape(-1, sk.reps).T
         return sk
 
 
 def _merged(cells, positions: list[int]):
-    """Cell-wise sum of the members' [level, rep] cells; fingerprints mod PRIME."""
-    counts, isums, fps = (c[positions[0]].copy() for c in cells)
-    for added, pos in enumerate(positions[1:], 1):
-        counts += cells[0][pos]
-        isums += cells[1][pos]
-        fps += cells[2][pos]
-        if added % 3 == 0:
-            # a reduced sum plus three fingerprints, each < PRIME < 2^61, fits in int64
-            fps %= PRIME
-    fps %= PRIME
-    return counts, isums, fps
+    """Cell-wise sum of the members' blocks; fingerprints mod PRIME."""
+    counts, isums = (c[positions].sum(axis=0) for c in cells[:2])
+    fps = cells[2][positions]
+    while len(fps) > 1:
+        # four residues below PRIME < 2^61 sum below 2^63 and fit in int64
+        fps = np.add.reduceat(fps, np.arange(0, len(fps), 4), axis=0) % PRIME
+    return counts, isums, fps[0]
 
 
 class SketchStore:
@@ -274,15 +275,13 @@ class SketchStore:
     masks is a [banks, n] boolean array whose row b marks the members of
     bank b. A bank is a row of the store: its members, its repetition
     count reps[b] (a function of its member count sizes[b], worked out
-    once per distinct count) and the offset of its [member, round, level,
-    rep] block of cells, handed out by blocks(b); ForestSketchBank is a
-    view of one row. See the module docstring for the layout and the
-    seeding. Cells are allocated with np.zeros and never pre-touched, so
-    pages of cells no event reaches stay unbacked. Per-row tables, one
-    row per (bank, round, rep), hold what the vectorized update needs:
-    the row's position round * max_reps + rep in the round batteries, and
-    the cell of member 0 at level 0. Every table is laid out with cumsum
-    and repeat over the banks, not bank by bank.
+    once per distinct count) and the offset of its [member, round, cell]
+    cells, handed out by blocks(b); ForestSketchBank is a view of one
+    row. The block of one (member, round) is the level-0 cell followed by
+    the [level >= 1, rep] cells, 1 + (levels - 1) * reps cells in all.
+    See the module docstring for the layout and the seeding. Cells are
+    allocated with np.zeros and never pre-touched, so pages of cells no
+    event reaches stay unbacked.
     """
 
     def __init__(self, n: int, masks: np.ndarray, delta: float, seed: int):
@@ -298,25 +297,19 @@ class SketchStore:
         distinct, size_of_bank = np.unique(self.sizes, return_inverse=True)
         reps = [bank_shape(n, m, delta)[0] for m in distinct.tolist()]
         self.reps = np.array(reps, dtype=np.int64)[size_of_bank]
-        self._max_reps = int(self.reps.max())
+        # banks with the same repetition count share a block layout
+        self._class_reps, self._rep_class = np.unique(self.reps, return_inverse=True)
         rep_seeds, sub_seeds, self.z = zip(
-            *(sketch_seeds(self.round_seed(r), self._max_reps) for r in range(self.rounds))
+            *(sketch_seeds(self.round_seed(r), int(self.reps.max())) for r in range(self.rounds))
         )
         # [round, rep] and [round, 1]: one hash draws the levels of every round
         self._round_rep_seeds = np.stack(rep_seeds)
         self._round_sub_seeds = np.array(sub_seeds, dtype=np.uint64)[:, None]
         # _slot[v, b]: position of vertex v among bank b's members, or -1
         self._slot = np.where(masks, np.cumsum(masks, axis=1) - 1, -1).T.copy()
-        cells = self.sizes * self.rounds * self.levels * self.reps
+        self._member_stride = self.rounds * (1 + (self.levels - 1) * self.reps)
+        cells = self.sizes * self._member_stride
         self._offset = np.cumsum(cells) - cells
-        # rows run round-major, rep-minor within a bank
-        self._rows = self.rounds * self.reps
-        self._row_start = np.cumsum(self._rows) - self._rows
-        bank = np.repeat(np.arange(len(masks)), self._rows)
-        round_, rep = np.divmod(np.arange(len(bank)) - self._row_start[bank], self.reps[bank])
-        self._row_keys = round_ * self._max_reps + rep
-        self._row_cells = self._offset[bank] + round_ * self.levels * self.reps[bank] + rep
-        self._member_stride = self.levels * self._rows
         total = int(cells.sum())
         self.counts = np.zeros(total, dtype=np.int64)
         self.index_sums = np.zeros(total, dtype=np.int64)
@@ -327,10 +320,15 @@ class SketchStore:
         return derive_seed(self.seed, "round", r)
 
     def blocks(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bank b's counts, index sums and fingerprints as [member, round, level, rep] views."""
-        shape = (int(self.sizes[b]), self.rounds, self.levels, int(self.reps[b]))
+        """Bank b's counts, index sums and fingerprints as [member, round, cell] views.
+
+        Cell 0 of a (member, round) block is level 0; cell
+        1 + (level - 1) * reps[b] + rep is a deeper level of one repetition.
+        """
+        size, stride = int(self.sizes[b]), int(self._member_stride[b])
         start = int(self._offset[b])
-        cells = slice(start, start + math.prod(shape))
+        cells = slice(start, start + size * stride)
+        shape = (size, self.rounds, stride // self.rounds)
         return tuple(
             a[cells].reshape(shape) for a in (self.counts, self.index_sums, self.fingerprints)
         )
@@ -345,41 +343,30 @@ class SketchStore:
     def fold(self, hit: np.ndarray, lo: int, hi: int, delta: int) -> None:
         """Add delta at pair {lo, hi} to lo's sketches and -delta to hi's.
 
-        Every bank in hit must hold both endpoints, and lo < hi.
+        Every bank in hit must hold both endpoints, and lo < hi. The
+        cells an event reaches within a member's rounds depend only on
+        the bank's repetition count, so each count's pattern of offsets
+        is worked out once and added to every hit bank's member bases.
         """
         idx = pair_index(lo, hi, self.n)
-        depths = 1 + deepest_levels(
-            self._round_sub_seeds, self._round_rep_seeds, idx, self.levels
-        ).ravel()
+        # depth[round, rep]: the deepest level the pair lands in
+        depth = deepest_levels(self._round_sub_seeds, self._round_rep_seeds, idx, self.levels)
         zpow = np.array([pow(z, idx, PRIME) for z in self.z], dtype=np.int64)
-        reps = self.reps[hit]
-        per_bank = self._rows[hit]
-        rows = _ragged_arange(self._row_start[hit], per_bank)
-        keys = self._row_keys[rows]
-        # a row's cells are its levels 0..deepest, reps apart
-        depth = depths[keys]
-        stride = self._member_stride[hit]
-        lo_slot, hi_slot = self._slot[lo, hit], self._slot[hi, hit]
-        lo_rows = self._row_cells[rows] + np.repeat(lo_slot * stride, per_bank)
-        hi_shift = np.repeat((hi_slot - lo_slot) * stride, per_bank)
-        level_step = np.repeat(np.repeat(reps, per_bank), depth)
-        lo_cells = _ragged_arange(lo_rows, depth, level_step)
-        hi_cells = lo_cells + np.repeat(hi_shift, depth)
-        dz = delta * np.repeat(zpow[keys // self._max_reps], depth)
-        self.counts[lo_cells] += delta
-        self.counts[hi_cells] -= delta
-        self.index_sums[lo_cells] += delta * idx
-        self.index_sums[hi_cells] -= delta * idx
-        fps = self.fingerprints
-        fps[lo_cells] = (fps[lo_cells] + dz) % PRIME
-        fps[hi_cells] = (fps[hi_cells] - dz) % PRIME
-
-
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray, steps=1) -> np.ndarray:
-    """Concatenation of start + step * arange(length) over the given starts and lengths.
-
-    steps is a scalar or one step per output element.
-    """
-    ends = np.cumsum(lengths)
-    within = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
-    return np.repeat(starts, lengths) + within * steps
+        sign = np.array([delta, -delta])[:, None, None]  # lo's cells, then hi's
+        levels = np.arange(1, self.levels)[None, :, None]
+        classes = self._rep_class[hit]
+        for c in np.unique(classes).tolist():
+            banks = hit[classes == c]
+            reps = int(self._class_reps[c])
+            # per round: the level-0 cell, then the [level >= 1, rep] cells the pair reaches
+            reached = np.ones((self.rounds, 1 + (self.levels - 1) * reps), dtype=bool)
+            reached[:, 1:] = (levels <= depth[:, None, :reps]).reshape(self.rounds, -1)
+            pattern = np.flatnonzero(reached)
+            dz = zpow[pattern // reached.shape[1]]
+            members = np.stack((self._slot[lo, banks], self._slot[hi, banks]))
+            bases = self._offset[banks] + members * self._member_stride[banks]
+            cells = bases[:, :, None] + pattern
+            self.counts[cells] += sign
+            self.index_sums[cells] += sign * idx
+            fps = self.fingerprints
+            fps[cells] = (fps[cells] + sign * dz) % PRIME

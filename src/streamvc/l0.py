@@ -5,7 +5,10 @@ recovery cell (count, index_sum, fingerprint over the prime field
 p = 2^61 - 1). Level l of a repetition sees each coordinate with
 probability 2^-l via a seeded hash treated as fully random; levels are
 nested (a coordinate active at level l is active at all shallower
-levels). A cell is decodable when it holds exactly one nonzero
+levels). There are ceil(log2 U) + 2 levels over a universe of U
+coordinates: a vector has support at most U, so level ceil(log2 U)
+already expects at most one survivor, and deeper levels are nested
+subsets of it. A cell is decodable when it holds exactly one nonzero
 coordinate, which the fingerprint test count * z^(index_sum/count)
 certifies; false accepts need a fingerprint collision and are
 vanishingly rare.
@@ -14,10 +17,13 @@ Updates, merges and therefore the final state are linear in the update
 stream: any reordering or insert/delete cancellation produces the same
 cells bit for bit.
 
-L0Sketch is the reference implementation. Forest banks keep the same
-cells for many sketches in flat arrays (streamvc.forest) and share this
-module's seed derivation (sketch_seeds), level rule (deepest_levels),
-size (serialized_size) and decoder (sample_cells).
+L0Sketch is the reference implementation and keeps the full [reps,
+levels] cells. Forest banks keep the same cells for many sketches in
+flat arrays (streamvc.forest), with the level-0 cell, which every
+repetition shares, stored once per sketch. They share this module's seed
+derivation (sketch_seeds), level rule (level_count, deepest_levels),
+size (serialized_size) and decoder (sample_cells), which reads that
+level-0-once block; L0Sketch.sample hands it the same block.
 """
 from __future__ import annotations
 
@@ -75,7 +81,8 @@ _CELL = struct.Struct("<qqq")
 
 
 def level_count(universe: int) -> int:
-    return 2 * max(0, math.ceil(math.log2(universe))) + 2
+    """ceil(log2 universe) + 2 subsampling levels (why: see the module docstring)."""
+    return max(0, math.ceil(math.log2(universe))) + 2
 
 
 def repetition_count(delta: float) -> int:
@@ -202,9 +209,11 @@ class L0Sketch:
 
     def sample(self):
         """EMPTY, FAIL, or a NonZeroIndex from the support of the vector."""
-        return sample_cells(
-            self.counts, self.index_sums, self.fingerprints, self.z, self.universe
-        )
+        block = [
+            np.concatenate((a[0, :1], a[:, 1:].T.ravel()))
+            for a in (self.counts, self.index_sums, self.fingerprints)
+        ]
+        return sample_cells(*block, self.reps, self.z, self.universe)
 
     # -- serialization ---------------------------------------------------
 
@@ -240,24 +249,41 @@ class L0Sketch:
         return out
 
 
-def sample_cells(counts, index_sums, fingerprints, z: int, universe: int):
-    """Decode one nonzero coordinate from raw cell arrays.
+def sample_cells(counts, index_sums, fingerprints, reps: int, z: int, universe: int):
+    """Decode one nonzero coordinate from one block of raw cells.
 
-    EMPTY when every repetition's level-0 cell is identically zero;
-    otherwise the first repetition-major cell passing the one-sparse
-    verification wins; FAIL when none does.
+    A block keeps the level-0 cell once, since level 0 admits every
+    coordinate and is the same in every repetition: cell 0 is level 0,
+    and cell 1 + (l - 1) * reps + q is level l >= 1 of repetition q.
+    EMPTY when the level-0 cell is identically zero; otherwise the first
+    cell passing the one-sparse verification wins, level 0 first and
+    then levels >= 1 repetition-major (the cell a repetition-major scan
+    of the full [reps, levels] cells picks); FAIL when none does.
     """
-    if not (counts[:, 0].any() or index_sums[:, 0].any() or fingerprints[:, 0].any()):
+    head = int(counts[0]), int(index_sums[0]), int(fingerprints[0])
+    if not any(head):
         return EMPTY
-    for r in range(counts.shape[0]):
-        for lv in np.flatnonzero(counts[r]).tolist():
-            c = int(counts[r, lv])
-            s = int(index_sums[r, lv])
-            if s % c != 0:
-                continue
-            q = s // c
-            if not (0 <= q < universe):
-                continue
-            if (c % PRIME) * pow(z, q, PRIME) % PRIME == int(fingerprints[r, lv]):
-                return NonZeroIndex(q, 1 if c > 0 else -1)
+    found = _one_sparse(*head, z, universe)
+    if found is not None:
+        return found
+    for r in range(reps):
+        for lv in np.flatnonzero(counts[1 + r :: reps]).tolist():
+            cell = 1 + r + reps * lv
+            found = _one_sparse(
+                int(counts[cell]), int(index_sums[cell]), int(fingerprints[cell]), z, universe
+            )
+            if found is not None:
+                return found
     return FAIL
+
+
+def _one_sparse(c: int, s: int, fp: int, z: int, universe: int):
+    """The coordinate a cell holds when it holds exactly one; None otherwise."""
+    if c == 0 or s % c != 0:
+        return None
+    q = s // c
+    if not (0 <= q < universe):
+        return None
+    if (c % PRIME) * pow(z, q, PRIME) % PRIME != fp:
+        return None
+    return NonZeroIndex(q, 1 if c > 0 else -1)

@@ -12,6 +12,7 @@ from streamvc.certificate import (
     StreamCertifier,
     build_certificate_offline,
     decide_k_connected,
+    physical_memory_bytes,
     preserved_st_connectivity,
     sample_subsets,
 )
@@ -271,7 +272,7 @@ def test_space_cap_aborts():
 
 
 def test_space_cap_checked_before_allocation():
-    params = CertParams(n=32, k=2, scale_c=5, seed=20, delta=0.01)
+    params = CertParams(n=32, k=2, scale_c=10, seed=20, delta=0.01)
     state = sum(bank_bytes(32, len(s), 0.01) for s in sample_subsets(params))
     tracemalloc.start()
     try:
@@ -308,7 +309,7 @@ def test_stream_cells_equal_reference_sketches(n, k):
     rounds, universe = round_count(n), n * (n - 1) // 2
     levels = level_count(universe)
     store = certifier.store
-    offset = 0
+    cells = 0
     sizes = set()
     for i, members in enumerate(sample_subsets(params)):
         m = len(members)
@@ -316,12 +317,8 @@ def test_stream_cells_equal_reference_sketches(n, k):
         assert certifier.banks[i].members == tuple(members.tolist())
         sketch_delta = min(0.5, 0.05 / max(1, rounds * m))
         reps = L0Sketch(universe, sketch_delta, 0).reps
-        size = m * rounds * levels * reps
-        blocks = [
-            a[offset : offset + size].reshape(m, rounds, levels, reps)
-            for a in (store.counts, store.index_sums, store.fingerprints)
-        ]
-        offset += size
+        cells += m * rounds * (1 + (levels - 1) * reps)
+        blocks = store.blocks(i)
         for r in range(rounds):
             round_seed = derive_seed(derive_seed(params.seed, "sketch"), "round", r)
             for pos, v in enumerate(members.tolist()):
@@ -333,8 +330,11 @@ def test_stream_cells_equal_reference_sketches(n, k):
                 for got, want in zip(
                     blocks, (ref.counts, ref.index_sums, ref.fingerprints)
                 ):
-                    assert np.array_equal(got[pos, r].T, want)
-    assert offset == len(store.counts) == len(store.fingerprints)
+                    # level 0 is kept once; levels >= 1 are laid out [level, rep]
+                    block = got[pos, r]
+                    assert np.all(want[:, 0] == block[0])
+                    assert np.array_equal(block[1:].reshape(levels - 1, reps).T, want[:, 1:])
+    assert cells == len(store.counts) == len(store.fingerprints)
     if (n, k) == (8, 3):
         assert sizes == {0, 1, 2}  # empty and single-member banks are covered
 
@@ -375,6 +375,21 @@ def test_measured_bytes_is_the_sum_of_bank_bytes(n, k):
     assert StreamCertifier(params).measured_bytes() == expected
     if (n, k) == (8, 3):
         assert {0, 1} <= {len(s) for s in subsets}  # empty and single-member subsets
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (16, 2), (32, 2)])
+def test_store_bytes_are_within_the_accounted_bytes(n, k):
+    certifier = StreamCertifier(CertParams(n=n, k=k, scale_c=5, seed=25 + n * k, delta=0.05))
+    store = certifier.store
+    held = store.counts.nbytes + store.index_sums.nbytes + store.fingerprints.nbytes
+    assert 0 < held <= certifier.measured_bytes()
+
+
+def test_space_cap_defaults_to_physical_memory():
+    # r is about 1e303: without a cap set-up must still stop, at physical memory
+    params = CertParams(n=32, k=2, scale_c=1e300, seed=20, delta=0.1)
+    with pytest.raises(SpaceExceededError, match=f"exceeds cap {physical_memory_bytes()}"):
+        StreamCertifier(params)
 
 
 def test_space_cap_message_reports_the_first_block_over_the_cap():

@@ -323,6 +323,16 @@ def test_certify_huge_scale_stops_at_the_space_cap(tmp_path, capsys):
     assert "SpaceExceeded" in err["error"]
 
 
+def test_certify_huge_scale_without_a_cap_exit_2(tmp_path, capsys):
+    path = tmp_path / "k8.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(8)", "--k", "2", "--out", str(path))
+    code, _, err = run_cli(
+        capsys, "certify", str(path), "--mode", "dynamic", "--scale-c", "1e300", "--delta", "0.1"
+    )
+    assert code == 2
+    assert "SpaceExceeded" in err["error"]
+
+
 def test_check_negative_trials_exit_2(tmp_path, capsys):
     path = tmp_path / "k5.stream"
     run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))

@@ -16,7 +16,7 @@ from streamvc.graph import (
     replay_stream,
 )
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import NonZeroIndex
+from streamvc.l0 import PRIME, NonZeroIndex
 from streamvc.seeds import derive_seed
 
 
@@ -196,6 +196,28 @@ def test_rounds_use_independent_batteries():
     for r in range(bank.rounds):
         assert bank.sketch(0, r).seed == bank.sketch(3, r).seed
         assert bank.sketch(0, r).z == bank.sketch(3, r).z
+
+
+def test_merged_component_reduces_level0_fingerprints_mod_p():
+    """A 17-vertex path whose members' level-0 fingerprints lie just below p.
+
+    The fingerprints are rewritten so that they still sum, mod p, to the
+    path's true sum (zero: the path has no outgoing edge). Summed without
+    reduction, 16 of them overflow int64, the merged path no longer reads
+    EMPTY, and its decode counts as a failure.
+    """
+    n, path = 18, list(range(17))
+    bank = ForestSketchBank(n, range(n), 0.01, seed=12)  # vertex 17 stays isolated
+    for u, v in zip(path, path[1:]):
+        bank.update(UpdateEvent(u, v, 1))
+    fps = bank.store.blocks(0)[2]
+    for r in range(bank.rounds):
+        near_p = [PRIME - 1 - i for i in path[:-1]]
+        true_sum = sum(int(fps[v, r, 0]) for v in path)
+        fps[path, r, 0] = near_p + [(true_sum - sum(near_p)) % PRIME]
+    ext = bank.extract()
+    assert ext.sample_failures == 0
+    assert ext.forest == EdgeSet(n, list(zip(path, path[1:])))
 
 
 def test_bank_serialized_size_counts_all_sketches():

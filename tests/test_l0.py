@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamvc.errors import SeedMismatchError
 from streamvc.l0 import EMPTY, FAIL, L0Sketch, NonZeroIndex, PRIME
@@ -24,7 +26,7 @@ def states_equal(a, b):
 
 def test_dimensions_match_construction():
     s = L0Sketch(16, 0.01, seed=7)
-    assert s.levels == 10  # 2 * ceil(log2 16) + 2
+    assert s.levels == 6  # ceil(log2 16) + 2
     assert s.reps == 19  # ceil(4 * ln 100)
 
 
@@ -217,3 +219,52 @@ def test_fingerprints_stay_in_field():
     s = sketch_of({i: 5 for i in range(10)}, 32, seed=8)
     assert (s.fingerprints >= 0).all()
     assert (s.fingerprints < PRIME).all()
+
+
+def full_scan(sketch):
+    """Repetition-major scan of the full [reps, levels] cells, level 0 in every repetition."""
+    counts, isums, fps = sketch.counts, sketch.index_sums, sketch.fingerprints
+    if not (counts[:, 0].any() or isums[:, 0].any() or fps[:, 0].any()):
+        return EMPTY
+    for r in range(sketch.reps):
+        for lv in np.flatnonzero(counts[r]).tolist():
+            c, s = int(counts[r, lv]), int(isums[r, lv])
+            if s % c != 0 or not 0 <= s // c < sketch.universe:
+                continue
+            if (c % PRIME) * pow(sketch.z, s // c, PRIME) % PRIME == int(fps[r, lv]):
+                return NonZeroIndex(s // c, 1 if c > 0 else -1)
+    return FAIL
+
+
+@st.composite
+def sparse_vectors(draw):
+    """(universe, {index: nonzero value}) with any support size from 0 to universe.
+
+    With `balance`, the last coordinate cancels the others' sum, so the
+    level-0 count is 0 while its index sum usually is not.
+    """
+    universe = draw(st.integers(1, 40))
+    support = draw(st.lists(st.integers(0, universe - 1), unique=True, max_size=universe))
+    vector = {i: draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for i in support}
+    if draw(st.booleans()) and len(support) >= 2:
+        vector[support[-1]] = 0
+        vector[support[-1]] = -sum(vector.values())
+        vector = {i: v for i, v in vector.items() if v}
+    return universe, vector
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_vectors(), st.sampled_from([0.05, 0.3, 0.7]), st.integers(0, 2**32))
+def test_level0_once_decode_equals_full_scan(case, delta, seed):
+    universe, vector = case
+    s = sketch_of(vector, universe, delta=delta, seed=seed)
+    assert s.sample() == full_scan(s)
+
+
+def test_zero_level0_count_with_nonzero_index_sum_decodes_like_full_scan():
+    for seed in range(200):
+        s = sketch_of({2: 1, 5: -1}, 8, delta=0.3, seed=seed)
+        assert s.counts[0, 0] == 0 and s.index_sums[0, 0] == -3
+        out = s.sample()
+        assert out == full_scan(s)
+        assert out is FAIL or out in (NonZeroIndex(2, 1), NonZeroIndex(5, -1))
