@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python3 scripts/decode_curve.py --n 32 --k 2
 
-Runs the dynamic certifier over gen_random_stream(n, 0.3, 0.2, seed=7)
-and finalizes once. Every decode of a component with a nonempty cut is
-re-read one repetition at a time: a repetition decodes when one of its
+Runs the dynamic certifier of the README library quick start (C = 20,
+delta = 0.01, seed 1, over gen_random_stream(n, 0.3, 0.2, seed=7)) at the
+given n and k, and finalizes once. Every decode of a component with a
+nonempty cut is re-read one repetition at a time: a repetition decodes when one of its
 cells (the shared level-0 cell, then its levels >= 1 in order) passes the
 one-sparse test, and the first such cell is the level it decodes at.
 Prints one JSON object:
@@ -28,7 +29,13 @@ import numpy as np
 from streamvc import forest
 from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import EMPTY, _one_sparse
+from streamvc.l0 import EMPTY, _one_sparse, from_block
+
+# the README library quick start
+SCALE_C = 20.0
+DELTA = 0.01
+SEED = 1
+STREAM_SEED = 7
 
 
 def decode_levels(counts, index_sums, fingerprints, reps: int, z: int, universe: int):
@@ -37,25 +44,19 @@ def decode_levels(counts, index_sums, fingerprints, reps: int, z: int, universe:
     for i in np.flatnonzero(counts).tolist():
         cell = int(counts[i]), int(index_sums[i]), int(fingerprints[i])
         passing[i] = _one_sparse(*cell, z, universe) is not None
-    if passing[0]:
-        return np.zeros(reps, dtype=np.int64)
-    deeper = passing[1:].reshape(-1, reps)  # [level - 1, rep]
-    return np.where(deeper.any(axis=0), 1 + deeper.argmax(axis=0), -1)
+    passing = from_block(passing, reps)  # [rep, level]
+    return np.where(passing.any(axis=1), passing.argmax(axis=1), -1)
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=32)
     parser.add_argument("--k", type=int, default=2)
-    parser.add_argument("--scale-c", type=float, default=20.0)
-    parser.add_argument("--delta", type=float, default=0.01)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--stream-seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    params = CertParams(n=args.n, k=args.k, scale_c=args.scale_c, seed=args.seed, delta=args.delta)
+    params = CertParams(n=args.n, k=args.k, scale_c=SCALE_C, seed=SEED, delta=DELTA)
     certifier = StreamCertifier(params)
-    for e in gen_random_stream(args.n, 0.3, 0.2, seed=args.stream_seed):
+    for e in gen_random_stream(args.n, 0.3, 0.2, seed=STREAM_SEED):
         certifier.update(e)
 
     shares: list[float] = []

@@ -271,10 +271,12 @@ class StreamCertifier:
     parameters, so the space cap is checked before any cell is allocated,
     block by block while the subsets are sampled: set-up stops at the
     first block whose running total exceeds it. Without an explicit cap
-    the cap is the host's physical memory, so a forest count too large
-    to hold fails at set-up instead of sampling without end. A MultiGraph of
-    the stream (validation bookkeeping, not charged to the sketch space)
-    enforces stream legality.
+    the cap is the host's physical memory (physical_memory_bytes), so a
+    forest count too large to hold fails at set-up instead of sampling
+    without end. That default is the host's RAM, not a container's or
+    cgroup's memory limit, and where the OS does not report it there is
+    no cap. A MultiGraph of the stream (validation bookkeeping, not
+    charged to the sketch space) enforces stream legality.
     """
 
     def __init__(

@@ -61,11 +61,13 @@ from .l0 import (
     L0Sketch,
     NonZeroIndex,
     deepest_levels,
+    from_block,
     level_count,
     repetition_count,
     sample_cells,
     serialized_size,
     sketch_seeds,
+    to_block,
 )
 from .seeds import derive_seed
 
@@ -253,9 +255,7 @@ class ForestSketchBank:
         delta = sketch_delta(store.n, int(store.sizes[self.index]), store.delta)
         sk = L0Sketch(store.universe, delta, store.round_seed(round_))
         for a, b in zip((sk.counts, sk.index_sums, sk.fingerprints), store.blocks(self.index)):
-            block = b[pos, round_]
-            a[:, 0] = block[0]
-            a[:, 1:] = block[1:].reshape(-1, sk.reps).T
+            a[...] = from_block(b[pos, round_], sk.reps)
         return sk
 
 
@@ -322,8 +322,8 @@ class SketchStore:
     def blocks(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bank b's counts, index sums and fingerprints as [member, round, cell] views.
 
-        Cell 0 of a (member, round) block is level 0; cell
-        1 + (level - 1) * reps[b] + rep is a deeper level of one repetition.
+        A (member, round) block is l0.to_block of that sketch's
+        [reps[b], levels] cells.
         """
         size, stride = int(self.sizes[b]), int(self._member_stride[b])
         start = int(self._offset[b])
@@ -353,14 +353,13 @@ class SketchStore:
         depth = deepest_levels(self._round_sub_seeds, self._round_rep_seeds, idx, self.levels)
         zpow = np.array([pow(z, idx, PRIME) for z in self.z], dtype=np.int64)
         sign = np.array([delta, -delta])[:, None, None]  # lo's cells, then hi's
-        levels = np.arange(1, self.levels)[None, :, None]
+        # [round, rep, level]: the cells the pair lands in
+        lands = np.arange(self.levels) <= depth[:, :, None]
         classes = self._rep_class[hit]
         for c in np.unique(classes).tolist():
             banks = hit[classes == c]
             reps = int(self._class_reps[c])
-            # per round: the level-0 cell, then the [level >= 1, rep] cells the pair reaches
-            reached = np.ones((self.rounds, 1 + (self.levels - 1) * reps), dtype=bool)
-            reached[:, 1:] = (levels <= depth[:, None, :reps]).reshape(self.rounds, -1)
+            reached = to_block(lands[:, :reps])  # [round, cell]
             pattern = np.flatnonzero(reached)
             dz = zpow[pattern // reached.shape[1]]
             members = np.stack((self._slot[lo, banks], self._slot[hi, banks]))

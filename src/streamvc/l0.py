@@ -20,13 +20,17 @@ cells bit for bit.
 L0Sketch is the reference implementation and keeps the full [reps,
 levels] cells. Forest banks keep the same cells for many sketches in
 flat arrays (streamvc.forest), with the level-0 cell, which every
-repetition shares, stored once per sketch. They share this module's seed
-derivation (sketch_seeds), level rule (level_count, deepest_levels),
-size (serialized_size) and decoder (sample_cells), which reads that
-level-0-once block; L0Sketch.sample hands it the same block.
+repetition shares, stored once per sketch: a block of 1 + (levels - 1) *
+reps cells, level 0 first and then the [level >= 1, rep] cells. to_block
+and from_block convert between the [reps, levels] cells and that block,
+and are the one place that spells the block out. Banks share this
+module's seed derivation (sketch_seeds), level rule (level_count,
+deepest_levels), size (serialized_size) and decoder (sample_cells),
+which reads a block; L0Sketch.sample hands it to_block of its cells.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -209,10 +213,7 @@ class L0Sketch:
 
     def sample(self):
         """EMPTY, FAIL, or a NonZeroIndex from the support of the vector."""
-        block = [
-            np.concatenate((a[0, :1], a[:, 1:].T.ravel()))
-            for a in (self.counts, self.index_sums, self.fingerprints)
-        ]
+        block = [to_block(a) for a in (self.counts, self.index_sums, self.fingerprints)]
         return sample_cells(*block, self.reps, self.z, self.universe)
 
     # -- serialization ---------------------------------------------------
@@ -249,16 +250,40 @@ class L0Sketch:
         return out
 
 
-def sample_cells(counts, index_sums, fingerprints, reps: int, z: int, universe: int):
-    """Decode one nonzero coordinate from one block of raw cells.
+def to_block(cells: np.ndarray) -> np.ndarray:
+    """[..., reps, levels] cells as [..., 1 + (levels - 1) * reps] blocks.
 
-    A block keeps the level-0 cell once, since level 0 admits every
-    coordinate and is the same in every repetition: cell 0 is level 0,
-    and cell 1 + (l - 1) * reps + q is level l >= 1 of repetition q.
+    Cell 0 of a block is level 0, taken from repetition 0 (level 0 admits
+    every coordinate, so every repetition holds the same level-0 cell);
+    cell 1 + (l - 1) * reps + q is level l >= 1 of repetition q.
+    """
+    lead = cells.shape[:-2]
+    deeper = np.swapaxes(cells[..., 1:], -1, -2).reshape(*lead, -1)
+    return np.concatenate((cells[..., 0, :1], deeper), axis=-1)
+
+
+def from_block(block: np.ndarray, reps: int) -> np.ndarray:
+    """Inverse of to_block: [..., cells] blocks as [..., reps, levels] cells."""
+    lead = block.shape[:-1]
+    head = np.broadcast_to(block[..., :1, None], (*lead, reps, 1))
+    deeper = np.swapaxes(block[..., 1:].reshape(*lead, -1, reps), -1, -2)
+    return np.concatenate((head, deeper), axis=-1)
+
+
+@functools.cache
+def _scan_order(reps: int, size: int) -> np.ndarray:
+    """Block positions of the level >= 1 cells, repetition-major."""
+    return from_block(np.arange(size), reps)[:, 1:].ravel()
+
+
+def sample_cells(counts, index_sums, fingerprints, reps: int, z: int, universe: int):
+    """Decode one nonzero coordinate from one block (see to_block) of raw cells.
+
     EMPTY when the level-0 cell is identically zero; otherwise the first
     cell passing the one-sparse verification wins, level 0 first and
     then levels >= 1 repetition-major (the cell a repetition-major scan
-    of the full [reps, levels] cells picks); FAIL when none does.
+    of the full [reps, levels] cells picks, since level 0 is the same in
+    every repetition); FAIL when none does.
     """
     head = int(counts[0]), int(index_sums[0]), int(fingerprints[0])
     if not any(head):
@@ -266,14 +291,13 @@ def sample_cells(counts, index_sums, fingerprints, reps: int, z: int, universe: 
     found = _one_sparse(*head, z, universe)
     if found is not None:
         return found
-    for r in range(reps):
-        for lv in np.flatnonzero(counts[1 + r :: reps]).tolist():
-            cell = 1 + r + reps * lv
-            found = _one_sparse(
-                int(counts[cell]), int(index_sums[cell]), int(fingerprints[cell]), z, universe
-            )
-            if found is not None:
-                return found
+    order = _scan_order(reps, len(counts))
+    for cell in order[counts[order] != 0].tolist():
+        found = _one_sparse(
+            int(counts[cell]), int(index_sums[cell]), int(fingerprints[cell]), z, universe
+        )
+        if found is not None:
+            return found
     return FAIL
 
 

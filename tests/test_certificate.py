@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamvc import forest
+from streamvc import certificate, forest
 from streamvc.certificate import (
     FOREST_BLOCK,
     CertParams,
@@ -385,10 +385,17 @@ def test_store_bytes_are_within_the_accounted_bytes(n, k):
     assert 0 < held <= certifier.measured_bytes()
 
 
-def test_space_cap_defaults_to_physical_memory():
-    # r is about 1e303: without a cap set-up must still stop, at physical memory
+def test_physical_memory_bytes_is_positive_or_unknown():
+    size = physical_memory_bytes()
+    assert size is None or (isinstance(size, int) and size > 0)
+
+
+def test_space_cap_defaults_to_physical_memory(monkeypatch):
+    # r is about 1e303: without a cap set-up must still stop, at physical
+    # memory (here a 10 MB host, so the test does not scale with the host's RAM)
+    monkeypatch.setattr(certificate, "physical_memory_bytes", lambda: 10**7)
     params = CertParams(n=32, k=2, scale_c=1e300, seed=20, delta=0.1)
-    with pytest.raises(SpaceExceededError, match=f"exceeds cap {physical_memory_bytes()}"):
+    with pytest.raises(SpaceExceededError, match="exceeds cap 10000000"):
         StreamCertifier(params)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from streamvc import certificate
 from streamvc.cli import main
 from streamvc.errors import StreamFormatError
 from streamvc.graph import UpdateEvent
@@ -323,7 +324,9 @@ def test_certify_huge_scale_stops_at_the_space_cap(tmp_path, capsys):
     assert "SpaceExceeded" in err["error"]
 
 
-def test_certify_huge_scale_without_a_cap_exit_2(tmp_path, capsys):
+def test_certify_huge_scale_without_a_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # the default cap is physical memory; a 10 MB host keeps the test short
+    monkeypatch.setattr(certificate, "physical_memory_bytes", lambda: 10**7)
     path = tmp_path / "k8.stream"
     run_cli(capsys, "gen", "named", "--name", "complete(8)", "--k", "2", "--out", str(path))
     code, _, err = run_cli(
@@ -331,6 +334,7 @@ def test_certify_huge_scale_without_a_cap_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "SpaceExceeded" in err["error"]
+    assert "exceeds cap 10000000" in err["error"]
 
 
 def test_check_negative_trials_exit_2(tmp_path, capsys):

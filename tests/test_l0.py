@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamvc.errors import SeedMismatchError
-from streamvc.l0 import EMPTY, FAIL, L0Sketch, NonZeroIndex, PRIME
+from streamvc.l0 import EMPTY, FAIL, L0Sketch, NonZeroIndex, PRIME, from_block, to_block
 
 
 def sketch_of(vector, universe, delta=0.01, seed=0):
@@ -268,3 +268,15 @@ def test_zero_level0_count_with_nonzero_index_sum_decodes_like_full_scan():
         out = s.sample()
         assert out == full_scan(s)
         assert out is FAIL or out in (NonZeroIndex(2, 1), NonZeroIndex(5, -1))
+
+
+def test_block_keeps_level0_once_then_levels_rep_minor():
+    reps, levels = 3, 4
+    cells = np.arange(reps * levels).reshape(reps, levels)
+    cells[:, 0] = 99  # level 0 is the same in every repetition
+    block = to_block(cells)
+    assert block.tolist() == [99, 1, 5, 9, 2, 6, 10, 3, 7, 11]
+    assert np.array_equal(from_block(block, reps), cells)
+    stacked = np.stack([cells, cells + 100])  # leading axes pass through
+    assert np.array_equal(to_block(stacked), np.stack([block, to_block(cells + 100)]))
+    assert np.array_equal(from_block(to_block(stacked), reps), stacked)
