@@ -9,7 +9,7 @@ summing the sketches of a component cancels its internal edges, and
 whatever survives is an outgoing edge, which is exactly what a
 contraction round wants to sample.
 """
-from streamvc.forest import ForestSketchBank, pair_index
+from streamvc.forest import ForestSketchBank, bank_bytes, pair_index
 from streamvc.graph import UpdateEvent, component_partition, replay_stream
 from streamvc.instances import gen_random_stream
 from streamvc.l0 import L0Sketch
@@ -63,4 +63,5 @@ print(f"forest: {len(extraction.forest)} edges, "
       f"{extraction.sample_failures} sample failures, "
       f"{extraction.rounds_used} rounds")
 print("component partition matches ground truth:", got == truth)
-print("sketch state for this bank:", bank.serialized_size(), "bytes")
+# what the bank's store allocates: its cells plus its member-slot table
+print("sketch state for this bank:", bank_bytes(n, n, delta=0.01), "bytes")

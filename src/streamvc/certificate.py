@@ -14,8 +14,10 @@ single-pass dynamic-stream certifier (one sketch bank per subset, all
 banks' cells in one flat SketchStore) are provided; with the same seed
 they sample the same subsets and, when every extraction succeeds, induce
 the same per-subset component partitions. The dynamic certifier's byte
-footprint is a pure function of its parameters, so a space cap is
-enforced before any cell is allocated.
+footprint, what its store allocates, is a pure function of its
+parameters, so a space cap is enforced before any cell is allocated. The
+offline builder holds no sketches and takes no space cap; it rejects a
+forest count above max_forests(n) instead, before sampling.
 
 The offline builder contracts every subset at once, a block of subsets
 at a time, in the round-synchronous Boruvka structure that the sketch
@@ -230,15 +232,33 @@ def _spanning_forests(earr: np.ndarray, masks: np.ndarray) -> np.ndarray:
         comp = parent
 
 
+def max_forests(n: int) -> int:
+    """The largest forest count the offline builder takes: the paper's count at k = n.
+
+    max(1, ceil(PAPER_SCALE * n^2 * ln n)). No graph on n vertices is
+    n-connected, so every k worth asking is below n, and the analysis
+    constant asks for fewer forests there; the bound depends on n alone,
+    not on the host.
+    """
+    return max(1, math.ceil(PAPER_SCALE * n * n * math.log(n)))
+
+
 def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
     """Exact certificate from the materialized graph (no sketching).
 
     Each subset's forest is the minimum spanning forest of its induced
     subgraph under edge weight = rank in g.sorted_edges(), found by the
-    blockwise Boruvka pass of _spanning_forests.
+    blockwise Boruvka pass of _spanning_forests. A forest count above
+    max_forests(n) is rejected before any subset is sampled.
     """
     if g.n != params.n:
         raise ValueError(f"graph has n={g.n}, params expect n={params.n}")
+    r, bound = params.num_forests, max_forests(params.n)
+    if r > bound:
+        raise ValueError(
+            f"forest count {r:.4g} exceeds the offline bound {bound}, "
+            f"the paper's count at k = n = {params.n}"
+        )
     earr = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
     kept = np.zeros(len(earr), dtype=bool)
     metas: list[ForestMeta] = []
@@ -267,8 +287,9 @@ class StreamCertifier:
     one sketch battery per round, see streamvc.forest), each bank a row
     of it and self.banks[i] a ForestSketchBank view of row i. Each event is
     folded into every bank that holds both endpoints in one vectorized
-    pass. The measured byte footprint is a pure function of the
-    parameters, so the space cap is checked before any cell is allocated,
+    pass. The measured byte footprint, the sum of the banks' bank_bytes,
+    is what the store allocates and a pure function of the parameters,
+    so the space cap is checked before any cell is allocated,
     block by block while the subsets are sampled: set-up stops at the
     first block whose running total exceeds it. Without an explicit cap
     the cap is the host's physical memory (physical_memory_bytes), so a
@@ -279,14 +300,8 @@ class StreamCertifier:
     charged to the sketch space) enforces stream legality.
     """
 
-    def __init__(
-        self,
-        params: CertParams,
-        space_cap_bytes: int | None = None,
-        count_subset_bytes: bool = True,
-    ):
+    def __init__(self, params: CertParams, space_cap_bytes: int | None = None):
         self.params = params
-        self.count_subset_bytes = count_subset_bytes
         n, delta = params.n, params.resolved_delta
         if space_cap_bytes is None:
             space_cap_bytes = physical_memory_bytes()
@@ -300,7 +315,6 @@ class StreamCertifier:
             self._sketch_bytes += sum(
                 b * bank_bytes(n, m, delta) for m, b in zip(sizes.tolist(), banks.tolist())
             )
-            self._subset_bytes = len(self._subset_seeds) * ((n + 7) // 8)
             if space_cap_bytes is not None and self.measured_bytes() > space_cap_bytes:
                 raise SpaceExceededError(
                     f"sketch state exceeds cap {space_cap_bytes}: the first "
@@ -312,8 +326,8 @@ class StreamCertifier:
         self._graph = MultiGraph(n)
 
     def measured_bytes(self) -> int:
-        extra = self._subset_bytes if self.count_subset_bytes else 0
-        return self._sketch_bytes + extra
+        """Bytes of the sketch state: the nbytes of the store's cell arrays and _slot."""
+        return self._sketch_bytes
 
     def update(self, e: UpdateEvent) -> "StreamCertifier":
         self._graph.apply(e)

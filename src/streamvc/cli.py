@@ -129,7 +129,6 @@ def _certify(args) -> int:
             events,
             g,
             space_cap_bytes=args.space_cap_bytes,
-            count_subset_bytes=not args.exclude_subset_bytes,
         )
         report["verdict"] = verdict
         report["certificate_edges"] = len(certificate.edges)
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dynamic mode: cap on the sketch state (default: physical memory)",
     )
     p_cert.add_argument("--paper-mode", action="store_true")
-    p_cert.add_argument("--exclude-subset-bytes", action="store_true")
     p_cert.add_argument("--oracle", action="store_true", help="also report the exact verdict")
     p_cert.add_argument(
         "--cert-out",

@@ -23,6 +23,12 @@ offset with one cumsum; the store is ragged and holds no padding.
 ForestSketchBank is a view of one row: built directly, it makes a store
 that holds just that bank.
 
+Bytes. A bank costs what the store allocates for it (bank_shape): its
+cells, at the bytes of one cell in the store's CELL_DTYPES, plus its
+column of the _slot membership table, n entries of SLOT_DTYPE. The sum
+over the banks is exactly the nbytes of the store's four arrays, so a cap
+on that sum, checked before the store exists, caps what it allocates.
+
 Randomness. The store owns one seed and derives one sketch battery per
 round, sketch_seeds(derive_seed(seed, "round", r), max_reps): repetition
 seeds, a subsampling seed and a fingerprint base z. Every bank uses the
@@ -60,16 +66,21 @@ from .l0 import (
     PRIME,
     L0Sketch,
     NonZeroIndex,
+    block_cells,
     deepest_levels,
     from_block,
     level_count,
     repetition_count,
     sample_cells,
-    serialized_size,
     sketch_seeds,
     to_block,
 )
 from .seeds import derive_seed
+
+# what SketchStore allocates: one array per cell field (count, index sum,
+# fingerprint) and the _slot table; bank_shape charges the same dtypes
+CELL_DTYPES = (np.int64, np.int64, np.int64)
+SLOT_DTYPE = np.int64
 
 
 def pair_index(u: int, v: int, n: int) -> int:
@@ -118,19 +129,22 @@ def sketch_delta(n: int, member_count: int, delta: float) -> float:
 
 @functools.cache
 def bank_shape(n: int, member_count: int, delta: float) -> tuple[int, int]:
-    """(repetitions, serialized bytes) of a bank with member_count members.
+    """(repetitions, bytes) of a bank with member_count members.
 
-    A pure function of its parameters, memoized so that the space-cap
-    check, the store's layout and serialized_size share one computation
-    per distinct subset size.
+    The bytes are what SketchStore allocates for the bank: member_count *
+    rounds blocks of cells in CELL_DTYPES, plus the bank's column of the
+    _slot table. A pure function of its parameters, memoized so that the
+    space-cap check and the store's layout share one computation per
+    distinct subset size.
     """
     reps = repetition_count(sketch_delta(n, member_count, delta))
-    size = serialized_size(reps, level_count(pair_universe(n)))
-    return reps, member_count * round_count(n) * size
+    cells = member_count * round_count(n) * block_cells(reps, level_count(pair_universe(n)))
+    cell_bytes = sum(np.dtype(d).itemsize for d in CELL_DTYPES)
+    return reps, cells * cell_bytes + n * np.dtype(SLOT_DTYPE).itemsize
 
 
 def bank_bytes(n: int, member_count: int, delta: float) -> int:
-    """Serialized bytes of a bank's sketches, a pure function of its parameters."""
+    """Bytes SketchStore allocates for a bank, a pure function of its parameters."""
     return bank_shape(n, member_count, delta)[1]
 
 
@@ -242,10 +256,6 @@ class ForestSketchBank:
                     forest.add(u, v)
         return ForestExtraction(forest, failures, rounds_used)
 
-    def serialized_size(self) -> int:
-        store = self.store
-        return bank_bytes(store.n, int(store.sizes[self.index]), store.delta)
-
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
         """A copy of one member's round sketch, as an L0Sketch (tests, demos)."""
         store = self.store
@@ -270,7 +280,7 @@ def _merged(cells, positions: list[int]):
 
 
 class SketchStore:
-    """The cells of many forest banks in three flat int64 arrays.
+    """The cells of many forest banks in three flat arrays, one per field.
 
     masks is a [banks, n] boolean array whose row b marks the members of
     bank b. A bank is a row of the store: its members, its repetition
@@ -278,8 +288,9 @@ class SketchStore:
     once per distinct count) and the offset of its [member, round, cell]
     cells, handed out by blocks(b); ForestSketchBank is a view of one
     row. The block of one (member, round) is the level-0 cell followed by
-    the [level >= 1, rep] cells, 1 + (levels - 1) * reps cells in all.
-    See the module docstring for the layout and the seeding. Cells are
+    the [level >= 1, rep] cells, block_cells(reps, levels) in all. See
+    the module docstring for the layout, the seeding and the bytes (each
+    bank's bank_bytes, so a store's nbytes is their sum). Cells are
     allocated with np.zeros and never pre-touched, so pages of cells no
     event reaches stay unbacked.
     """
@@ -306,14 +317,15 @@ class SketchStore:
         self._round_rep_seeds = np.stack(rep_seeds)
         self._round_sub_seeds = np.array(sub_seeds, dtype=np.uint64)[:, None]
         # _slot[v, b]: position of vertex v among bank b's members, or -1
-        self._slot = np.where(masks, np.cumsum(masks, axis=1) - 1, -1).T.copy()
-        self._member_stride = self.rounds * (1 + (self.levels - 1) * self.reps)
+        slots = np.where(masks, np.cumsum(masks, axis=1) - 1, -1)
+        self._slot = slots.T.astype(SLOT_DTYPE, order="C")
+        self._member_stride = self.rounds * block_cells(self.reps, self.levels)
         cells = self.sizes * self._member_stride
         self._offset = np.cumsum(cells) - cells
         total = int(cells.sum())
-        self.counts = np.zeros(total, dtype=np.int64)
-        self.index_sums = np.zeros(total, dtype=np.int64)
-        self.fingerprints = np.zeros(total, dtype=np.int64)
+        self.counts, self.index_sums, self.fingerprints = (
+            np.zeros(total, dtype=d) for d in CELL_DTYPES
+        )
 
     def round_seed(self, r: int) -> int:
         """Seed of round r's battery, shared by every bank of the store."""

@@ -20,19 +20,19 @@ cells bit for bit.
 L0Sketch is the reference implementation and keeps the full [reps,
 levels] cells. Forest banks keep the same cells for many sketches in
 flat arrays (streamvc.forest), with the level-0 cell, which every
-repetition shares, stored once per sketch: a block of 1 + (levels - 1) *
-reps cells, level 0 first and then the [level >= 1, rep] cells. to_block
-and from_block convert between the [reps, levels] cells and that block,
-and are the one place that spells the block out. Banks share this
-module's seed derivation (sketch_seeds), level rule (level_count,
-deepest_levels), size (serialized_size) and decoder (sample_cells),
-which reads a block; L0Sketch.sample hands it to_block of its cells.
+repetition shares, stored once per sketch: a block of block_cells(reps,
+levels) = 1 + (levels - 1) * reps cells, level 0 first and then the
+[level >= 1, rep] cells. block_cells, to_block and from_block are the
+one place that spells the block out. Banks share this module's seed
+derivation (sketch_seeds), level rule (level_count, deepest_levels),
+block layout and decoder (sample_cells), which reads a block;
+L0Sketch.sample hands it to_block of its cells. What the banks' cells
+cost in bytes is counted where they are allocated, in streamvc.forest.
 """
 from __future__ import annotations
 
 import functools
 import math
-import struct
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class _Fail:
 EMPTY = _Empty()
 FAIL = _Fail()
 
-_MAGIC = b"L0S1"
-_HEADER = struct.Struct("<QIIQQd")
-_CELL = struct.Struct("<qqq")
-
 
 def level_count(universe: int) -> int:
     """ceil(log2 universe) + 2 subsampling levels (why: see the module docstring)."""
@@ -91,11 +87,6 @@ def level_count(universe: int) -> int:
 
 def repetition_count(delta: float) -> int:
     return max(1, math.ceil(REP_SCALE * math.log(1.0 / delta)))
-
-
-def serialized_size(reps: int, levels: int) -> int:
-    """Bytes of one serialized sketch with these dimensions."""
-    return len(_MAGIC) + _HEADER.size + reps * levels * _CELL.size
 
 
 def sketch_seeds(seed: int, reps: int) -> tuple[np.ndarray, int, int]:
@@ -216,38 +207,10 @@ class L0Sketch:
         block = [to_block(a) for a in (self.counts, self.index_sums, self.fingerprints)]
         return sample_cells(*block, self.reps, self.z, self.universe)
 
-    # -- serialization ---------------------------------------------------
 
-    def serialized_size(self) -> int:
-        return serialized_size(self.reps, self.levels)
-
-    def to_bytes(self) -> bytes:
-        parts = [
-            _MAGIC,
-            _HEADER.pack(
-                self.universe, self.levels, self.reps, self.seed, self.z, self.delta
-            ),
-        ]
-        cells = np.stack(
-            [self.counts, self.index_sums, self.fingerprints], axis=-1
-        ).astype("<i8")
-        parts.append(cells.tobytes())
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "L0Sketch":
-        if blob[:4] != _MAGIC:
-            raise ValueError("bad magic; not a serialized sketch")
-        universe, levels, reps, seed, z, delta = _HEADER.unpack_from(blob, 4)
-        out = cls(universe, delta, seed)
-        if (out.levels, out.reps, out.z) != (levels, reps, z):
-            raise ValueError("serialized header inconsistent with seed derivation")
-        cells = np.frombuffer(blob, dtype="<i8", offset=4 + _HEADER.size)
-        cells = cells.reshape(reps, levels, 3)
-        out.counts = cells[:, :, 0].astype(np.int64)
-        out.index_sums = cells[:, :, 1].astype(np.int64)
-        out.fingerprints = cells[:, :, 2].astype(np.int64)
-        return out
+def block_cells(reps: int, levels: int) -> int:
+    """Cells in one block (see to_block): level 0 once, then [level >= 1, rep]."""
+    return 1 + (levels - 1) * reps
 
 
 def to_block(cells: np.ndarray) -> np.ndarray:

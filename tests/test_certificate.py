@@ -7,11 +7,13 @@ import pytest
 from streamvc import certificate, forest
 from streamvc.certificate import (
     FOREST_BLOCK,
+    PAPER_SCALE,
     CertParams,
     Certificate,
     StreamCertifier,
     build_certificate_offline,
     decide_k_connected,
+    max_forests,
     physical_memory_bytes,
     preserved_st_connectivity,
     sample_subsets,
@@ -371,7 +373,6 @@ def test_measured_bytes_is_the_sum_of_bank_bytes(n, k):
     params = CertParams(n=n, k=k, scale_c=5, seed=24 + n * k, delta=0.05)
     subsets = sample_subsets(params)
     expected = sum(bank_bytes(n, len(s), 0.05) for s in subsets)
-    expected += params.num_forests * ((n + 7) // 8)
     assert StreamCertifier(params).measured_bytes() == expected
     if (n, k) == (8, 3):
         assert {0, 1} <= {len(s) for s in subsets}  # empty and single-member subsets
@@ -382,7 +383,41 @@ def test_store_bytes_are_within_the_accounted_bytes(n, k):
     certifier = StreamCertifier(CertParams(n=n, k=k, scale_c=5, seed=25 + n * k, delta=0.05))
     store = certifier.store
     held = store.counts.nbytes + store.index_sums.nbytes + store.fingerprints.nbytes
-    assert 0 < held <= certifier.measured_bytes()
+    held += store._slot.nbytes
+    assert 0 < held == certifier.measured_bytes()
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (16, 2), (32, 2)])
+def test_space_cap_at_the_store_bytes_admits_exactly_the_store(n, k, monkeypatch):
+    params = CertParams(n=n, k=k, scale_c=5, seed=27 + n * k, delta=0.05)
+    store = StreamCertifier(params).store
+    held = sum(a.nbytes for a in (store.counts, store.index_sums, store.fingerprints))
+    held += store._slot.nbytes
+    assert StreamCertifier(params, space_cap_bytes=held).measured_bytes() == held
+
+    def never(*args):
+        raise AssertionError("the store was built past the cap")
+
+    monkeypatch.setattr(certificate, "SketchStore", never)
+    with pytest.raises(SpaceExceededError, match=f"exceeds cap {held - 1}"):
+        StreamCertifier(params, space_cap_bytes=held - 1)
+
+
+def test_offline_forest_count_is_bounded_before_sampling(monkeypatch):
+    for n in (2, 8, 32):
+        assert CertParams(n=n, k=n, scale_c=PAPER_SCALE).num_forests == max_forests(n)
+    assert max_forests(1) == 1
+
+    def never(*args):
+        raise AssertionError("subsets were sampled past the bound")
+
+    monkeypatch.setattr(certificate, "subset_mask", never)
+    for params in (
+        CertParams(n=8, k=2, scale_c=1e300),
+        CertParams(n=8, k=8, scale_c=PAPER_SCALE * 1.01),
+    ):
+        with pytest.raises(ValueError, match="exceeds the offline bound"):
+            build_certificate_offline(complete(8), params)
 
 
 def test_physical_memory_bytes_is_positive_or_unknown():
@@ -403,7 +438,7 @@ def test_space_cap_message_reports_the_first_block_over_the_cap():
     params = CertParams(n=16, k=2, scale_c=20, seed=25, delta=0.05)
     subsets = sample_subsets(params)
     assert len(subsets) > 2 * FOREST_BLOCK
-    totals = np.cumsum([bank_bytes(16, len(s), 0.05) + 2 for s in subsets]).tolist()
+    totals = np.cumsum([bank_bytes(16, len(s), 0.05) for s in subsets]).tolist()
     # the first block's total is exactly at the cap, so the second block is the first over it
     cap = totals[FOREST_BLOCK - 1]
     with pytest.raises(SpaceExceededError) as err:
@@ -422,16 +457,8 @@ def test_repetition_count_runs_once_per_distinct_subset_size(monkeypatch):
     params = CertParams(n=12, k=3, scale_c=20, seed=26, delta=0.05)
     forest.bank_shape.cache_clear()
     certifier = StreamCertifier(params)
-    certifier.banks[0].serialized_size()
+    bank_bytes(12, int(certifier.store.sizes[0]), 0.05)
     assert len(calls) == len(set(certifier.store.sizes.tolist()))
-
-
-def test_subset_byte_accounting_flag():
-    params = CertParams(n=16, k=2, scale_c=2, seed=21, delta=0.1)
-    with_bits = StreamCertifier(params, count_subset_bytes=True)
-    without = StreamCertifier(params, count_subset_bytes=False)
-    r = params.num_forests
-    assert with_bits.measured_bytes() - without.measured_bytes() == r * 2
 
 
 def test_certificate_json_schema_and_roundtrip():

@@ -1,9 +1,13 @@
+import argparse
 import json
+import re
+import time
+from pathlib import Path
 
 import pytest
 
 from streamvc import certificate
-from streamvc.cli import main
+from streamvc.cli import build_parser, main
 from streamvc.errors import StreamFormatError
 from streamvc.graph import UpdateEvent
 from streamvc.streamio import read_stream, write_stream
@@ -337,6 +341,18 @@ def test_certify_huge_scale_without_a_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert "exceeds cap 10000000" in err["error"]
 
 
+def test_certify_offline_huge_scale_exit_2(tmp_path, capsys):
+    path = tmp_path / "k8.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(8)", "--k", "2", "--out", str(path))
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "certify", str(path), "--mode", "offline", "--scale-c", "1e300"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out is None
+    assert "offline bound" in err["error"]
+
+
 def test_check_negative_trials_exit_2(tmp_path, capsys):
     path = tmp_path / "k5.stream"
     run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
@@ -360,3 +376,15 @@ def test_gen_named_without_name_exit_2(tmp_path, capsys):
     assert code == 2 and out is None
     assert err["error"].startswith("ValueError") and "--name" in err["error"]
     assert not path.exists()
+
+
+def test_readme_cli_flags_are_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {o for p in commands.choices.values() for o in p._option_string_actions}
+    assert flags, "no --flag found in README's CLI section"
+    assert flags <= options, f"README names flags no subcommand takes: {sorted(flags - options)}"

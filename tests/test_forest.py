@@ -4,6 +4,7 @@ import pytest
 from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.forest import (
     ForestSketchBank,
+    bank_bytes,
     pair_from_index,
     pair_index,
     round_count,
@@ -220,10 +221,10 @@ def test_merged_component_reduces_level0_fingerprints_mod_p():
     assert ext.forest == EdgeSet(n, list(zip(path, path[1:])))
 
 
-def test_bank_serialized_size_counts_all_sketches():
-    bank = ForestSketchBank(8, [0, 1, 2], 0.01, seed=9)
-    one = bank.sketch(0, 0).serialized_size()
-    assert bank.serialized_size() == one * 3 * bank.rounds
+def test_bank_bytes_are_the_store_nbytes():
+    store = ForestSketchBank(8, [0, 1, 2], 0.01, seed=9).store
+    held = store.counts.nbytes + store.index_sums.nbytes + store.fingerprints.nbytes
+    assert bank_bytes(8, 3, 0.01) == held + store._slot.nbytes
 
 
 def test_direct_bank_validates_members_and_delta():

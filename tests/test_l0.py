@@ -200,21 +200,6 @@ def test_soundness_hundred_thousand_observations():
     assert observations >= 100_000
 
 
-def test_serialization_roundtrip():
-    s = sketch_of({2: 1, 9: -2}, 64, delta=0.02, seed=5)
-    blob = s.to_bytes()
-    assert blob[:4] == b"L0S1"
-    assert len(blob) == s.serialized_size()
-    t = L0Sketch.from_bytes(blob)
-    assert states_equal(s, t)
-    assert t.sample() == s.sample()
-
-
-def test_serialization_bad_magic():
-    with pytest.raises(ValueError):
-        L0Sketch.from_bytes(b"NOPE" + b"\x00" * 64)
-
-
 def test_fingerprints_stay_in_field():
     s = sketch_of({i: 5 for i in range(10)}, 32, seed=8)
     assert (s.fingerprints >= 0).all()

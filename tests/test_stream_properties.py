@@ -1,15 +1,17 @@
-"""Property tests: the dynamic certifier's state is linear in the stream.
+"""Property tests of the dynamic certifier over random legal streams.
 
 Any legal reordering of a stream, and any insert/delete pair that cancels,
 must leave the three cell arrays bit-identical and the certificate JSON
-byte-identical.
+byte-identical. A bank whose extraction reports no sample failure must
+recover the component partition of its induced final graph, which is the
+partition the offline builder's exact forest spans.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamvc.certificate import CertParams, StreamCertifier
-from streamvc.graph import UpdateEvent
+from streamvc.graph import UpdateEvent, component_partition, replay_stream
 from streamvc.instances import legal_shuffle
 
 N = 7
@@ -58,3 +60,20 @@ def test_reordering_and_cancelling_pairs_keep_state_bit_identical(
     for field in ("counts", "index_sums", "fingerprints"):
         assert np.array_equal(getattr(a.store, field), getattr(b.store, field))
     assert a.finalize().to_json() == b.finalize().to_json()
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(events=legal_streams(), k=st.integers(1, 3), seed=st.integers(0, 1000))
+def test_failure_free_banks_recover_the_induced_partition(events, k, seed):
+    certifier = certify(CertParams(n=N, k=k, scale_c=2, seed=seed, delta=0.05), events)
+    final = replay_stream(events, N).support()
+    for bank in certifier.banks:
+        extraction = bank.extract()
+        if extraction.sample_failures:
+            continue
+        members = set(bank.members)
+        induced = [(u, v) for u, v in final.edges if u in members and v in members]
+        assert extraction.forest.edges <= set(induced)
+        assert component_partition(members, extraction.forest.edges) == (
+            component_partition(members, induced)
+        )
