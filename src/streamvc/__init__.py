@@ -19,6 +19,7 @@ from .certificate import (
 from .errors import (
     InsertionOnlyViolationError,
     InvalidVertexError,
+    MultiplicityOverflowError,
     NegativeMultiplicityError,
     SeedMismatchError,
     SelfLoopError,

@@ -13,11 +13,11 @@ Both an offline builder (exact forests of the materialized graph) and a
 single-pass dynamic-stream certifier (one sketch bank per subset, all
 banks' cells in one flat SketchStore) are provided; with the same seed
 they sample the same subsets and, when every extraction succeeds, induce
-the same per-subset component partitions. The dynamic certifier's byte
+the same per-subset component partitions. Both reject a forest count
+above max_forests(n) before sampling. The dynamic certifier's byte
 footprint, what its store allocates, is a pure function of its
-parameters, so a space cap is enforced before any cell is allocated. The
-offline builder holds no sketches and takes no space cap; it rejects a
-forest count above max_forests(n) instead, before sampling.
+parameters, so a space cap is enforced before any cell is allocated; the
+offline builder holds no sketches and takes no space cap.
 
 The offline builder contracts every subset at once, a block of subsets
 at a time, in the round-synchronous Boruvka structure that the sketch
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpaceExceededError
-from .forest import ForestSketchBank, SketchStore, bank_bytes
+from .errors import MultiplicityOverflowError, SpaceExceededError
+from .forest import CELL_DTYPES, ForestSketchBank, SketchStore, bank_bytes
 from .graph import EdgeSet, MultiGraph, UpdateEvent
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
@@ -54,6 +54,9 @@ JSON_SCHEMA = 1
 # subsets sampled, sized and (offline) contracted per block: bounds the
 # scratch arrays to about this many rows of n vertices and m edges
 FOREST_BLOCK = 64
+# a sketch count is a signed sum of live edge multiplicities, so their
+# total may not pass the largest count the store's count dtype holds
+MAX_LIVE_MULTIPLICITY = int(np.iinfo(CELL_DTYPES[0]).max)
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def _spanning_forests(earr: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def max_forests(n: int) -> int:
-    """The largest forest count the offline builder takes: the paper's count at k = n.
+    """The largest forest count either certifier takes: the paper's count at k = n.
 
     max(1, ceil(PAPER_SCALE * n^2 * ln n)). No graph on n vertices is
     n-connected, so every k worth asking is below n, and the analysis
@@ -241,6 +244,16 @@ def max_forests(n: int) -> int:
     not on the host.
     """
     return max(1, math.ceil(PAPER_SCALE * n * n * math.log(n)))
+
+
+def _check_forest_count(params: CertParams) -> None:
+    """Reject a forest count above max_forests(n); called before any subset is sampled."""
+    r, bound = params.num_forests, max_forests(params.n)
+    if r > bound:
+        raise ValueError(
+            f"forest count {r:.4g} exceeds the forest bound {bound}, "
+            f"the paper's count at k = n = {params.n}"
+        )
 
 
 def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
@@ -253,12 +266,7 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
     """
     if g.n != params.n:
         raise ValueError(f"graph has n={g.n}, params expect n={params.n}")
-    r, bound = params.num_forests, max_forests(params.n)
-    if r > bound:
-        raise ValueError(
-            f"forest count {r:.4g} exceeds the offline bound {bound}, "
-            f"the paper's count at k = n = {params.n}"
-        )
+    _check_forest_count(params)
     earr = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
     kept = np.zeros(len(earr), dtype=bool)
     metas: list[ForestMeta] = []
@@ -283,26 +291,34 @@ def physical_memory_bytes() -> int | None:
 class StreamCertifier:
     """Single-pass dynamic-stream certifier: one sketch bank per subset.
 
-    The banks' cells live in one SketchStore (three flat int64 arrays and
-    one sketch battery per round, see streamvc.forest), each bank a row
-    of it and self.banks[i] a ForestSketchBank view of row i. Each event is
-    folded into every bank that holds both endpoints in one vectorized
-    pass. The measured byte footprint, the sum of the banks' bank_bytes,
-    is what the store allocates and a pure function of the parameters,
-    so the space cap is checked before any cell is allocated,
-    block by block while the subsets are sampled: set-up stops at the
-    first block whose running total exceeds it. Without an explicit cap
-    the cap is the host's physical memory (physical_memory_bytes), so a
-    forest count too large to hold fails at set-up instead of sampling
-    without end. That default is the host's RAM, not a container's or
-    cgroup's memory limit, and where the OS does not report it there is
-    no cap. A MultiGraph of the stream (validation bookkeeping, not
-    charged to the sketch space) enforces stream legality.
+    The banks' cells live in one SketchStore (three flat arrays, int32
+    counts and int64 index sums and fingerprints, and one sketch battery
+    per round, see streamvc.forest), each bank a row of it and
+    self.banks[i] a ForestSketchBank view of row i. Each event is folded
+    into every bank that holds both endpoints in one vectorized pass.
+
+    A forest count above max_forests(n) is rejected before any subset is
+    sampled, as the offline builder does. The measured byte footprint,
+    the sum of the banks' bank_bytes, is what the store allocates and a
+    pure function of the parameters, so the space cap is checked before
+    any cell is allocated, block by block while the subsets are sampled:
+    set-up stops at the first block whose running total exceeds it.
+    Without an explicit cap the cap is the host's physical memory
+    (physical_memory_bytes): the host's RAM, not a container's or
+    cgroup's memory limit, and no cap where the OS does not report it.
+
+    A MultiGraph of the stream (validation bookkeeping, not charged to
+    the sketch space) enforces stream legality, and live_multiplicity,
+    the total multiplicity of the edges the stream holds, bounds every
+    sketch count: an insertion that would push it past
+    MAX_LIVE_MULTIPLICITY (2^31 - 1, the int32 count's range) is refused
+    before any state changes.
     """
 
     def __init__(self, params: CertParams, space_cap_bytes: int | None = None):
         self.params = params
         n, delta = params.n, params.resolved_delta
+        _check_forest_count(params)
         if space_cap_bytes is None:
             space_cap_bytes = physical_memory_bytes()
         blocks: list[np.ndarray] = []
@@ -324,14 +340,21 @@ class StreamCertifier:
         self.store = SketchStore(n, np.concatenate(blocks), delta, sketch_seed)
         self.banks = [ForestSketchBank.view(self.store, b) for b in range(len(self._subset_seeds))]
         self._graph = MultiGraph(n)
+        self.live_multiplicity = 0
 
     def measured_bytes(self) -> int:
         """Bytes of the sketch state: the nbytes of the store's cell arrays and _slot."""
         return self._sketch_bytes
 
     def update(self, e: UpdateEvent) -> "StreamCertifier":
+        if self.live_multiplicity + e.delta > MAX_LIVE_MULTIPLICITY:
+            raise MultiplicityOverflowError(
+                f"insertion would push the live multiplicity past {MAX_LIVE_MULTIPLICITY}, "
+                "the largest sketch count"
+            )
         self._graph.apply(e)
         self.store.update(e)
+        self.live_multiplicity += e.delta
         return self
 
     def finalize(self) -> Certificate:

@@ -25,6 +25,10 @@ class SpaceExceededError(StreamError):
     """Measured sketch state passed the configured byte cap."""
 
 
+class MultiplicityOverflowError(StreamError):
+    """An insertion would push the stream's live multiplicity past what a sketch count holds."""
+
+
 class InsertionOnlyViolationError(StreamError):
     """A deletion event fed to an insertion-only certifier."""
 

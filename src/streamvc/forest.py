@@ -11,7 +11,12 @@ samples; components at least halve per successful round, so
 ceil(log2 n) + 1 rounds suffice.
 
 State layout. The cells of every bank live in one SketchStore: three flat
-int64 arrays (count, index sum, fingerprint). A bank is a row of the
+arrays, one per field, in CELL_DTYPES: int32 counts, int64 index sums and
+int64 fingerprints. A count is a signed sum of live edge multiplicities,
+so the certifier keeps their total below 2^31 (StreamCertifier.update);
+an index sum is at most that total times a pair index below n^2 / 2, so
+the store takes n <= MAX_N = 92 681 and the product stays below 2^63.
+Fingerprints are residues mod p = 2^61 - 1. A bank is a row of the
 store: its members, its repetition count and the offset of its one
 contiguous run of cells, laid out [member, round, cell]. The block of one
 (member, round) is the level-0 cell followed by the [level >= 1, rep]
@@ -24,7 +29,7 @@ ForestSketchBank is a view of one row: built directly, it makes a store
 that holds just that bank.
 
 Bytes. A bank costs what the store allocates for it (bank_shape): its
-cells, at the bytes of one cell in the store's CELL_DTYPES, plus its
+cells, at the 20 bytes of one cell in the store's CELL_DTYPES, plus its
 column of the _slot membership table, n entries of SLOT_DTYPE. The sum
 over the banks is exactly the nbytes of the store's four arrays, so a cap
 on that sum, checked before the store exists, caps what it allocates.
@@ -79,8 +84,11 @@ from .seeds import derive_seed
 
 # what SketchStore allocates: one array per cell field (count, index sum,
 # fingerprint) and the _slot table; bank_shape charges the same dtypes
-CELL_DTYPES = (np.int64, np.int64, np.int64)
+CELL_DTYPES = (np.int32, np.int64, np.int64)
 SLOT_DTYPE = np.int64
+# largest n the store takes: pair indices stay below n^2 / 2 and counts
+# below 2^31, so index sums stay below n^2 / 2 * 2^31 <= 2^63
+MAX_N = math.isqrt(2**33)
 
 
 def pair_index(u: int, v: int, n: int) -> int:
@@ -131,11 +139,13 @@ def sketch_delta(n: int, member_count: int, delta: float) -> float:
 def bank_shape(n: int, member_count: int, delta: float) -> tuple[int, int]:
     """(repetitions, bytes) of a bank with member_count members.
 
-    The bytes are what SketchStore allocates for the bank: member_count *
-    rounds blocks of cells in CELL_DTYPES, plus the bank's column of the
-    _slot table. A pure function of its parameters, memoized so that the
-    space-cap check and the store's layout share one computation per
-    distinct subset size.
+    The repetitions are l0.repetition_count of the bank's sketch_delta,
+    ceil(REP_SCALE * ln(1/sketch delta)) (the l0 module docstring gives
+    the bound behind REP_SCALE). The bytes are what SketchStore allocates
+    for the bank: member_count * rounds blocks of cells at 20 bytes a cell
+    in CELL_DTYPES, plus the bank's column of the _slot table. A pure
+    function of its parameters, memoized so that the space-cap check and
+    the store's layout share one computation per distinct subset size.
     """
     reps = repetition_count(sketch_delta(n, member_count, delta))
     cells = member_count * round_count(n) * block_cells(reps, level_count(pair_universe(n)))
@@ -298,6 +308,8 @@ class SketchStore:
     def __init__(self, n: int, masks: np.ndarray, delta: float, seed: int):
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must be in (0,1), got {delta}")
+        if n > MAX_N:
+            raise ValueError(f"n={n} exceeds {MAX_N}, above which index sums can overflow int64")
         self.n = n
         self.delta = delta
         self.seed = seed

@@ -13,6 +13,24 @@ coordinate, which the fingerprint test count * z^(index_sum/count)
 certifies; false accepts need a fingerprint collision and are
 vanishingly rare.
 
+Repetitions hash independently, and there are repetition_count(delta) =
+ceil(REP_SCALE * ln(1/delta)) of them. A repetition decodes whenever the
+deepest of its levels that the support reaches holds a single coordinate,
+since that cell is one-sparse. Depths are i.i.d. geometric (level l with
+probability 2^-(l+1)), so over a support of s coordinates the deepest is
+alone with probability sum_l s 2^-(l+1) (1 - 2^-l)^(s-1): 1 at s = 1, 2/3
+at s = 2, the worst case, and about 1/(2 ln 2) = 0.721 as s grows, which
+is the pooled per-repetition rate scripts/decode_curve.py measures
+(0.72). Capping depths at the last level adds ties there: the worst case
+drops to 0.625 (U = 2, s = 2) and stays above 0.66 for pair universes of
+n >= 4 vertices. A sample fails only when every repetition does, with
+probability at most (1/3)^R, and (1/3)^R <= delta needs R >= ln(1/delta)
+/ ln 3 = 0.91 ln(1/delta). REP_SCALE = 2 leaves a 2.2x margin in the
+exponent (1.96x against 0.625). The repetition seeds of fewer
+repetitions are a prefix of those of more (sketch_seeds), so a decode
+that succeeds within the first R repetitions returns the same coordinate
+under any larger repetition count.
+
 Updates, merges and therefore the final state are linear in the update
 stream: any reordering or insert/delete cancellation produces the same
 cells bit for bit.
@@ -26,8 +44,10 @@ levels) = 1 + (levels - 1) * reps cells, level 0 first and then the
 one place that spells the block out. Banks share this module's seed
 derivation (sketch_seeds), level rule (level_count, deepest_levels),
 block layout and decoder (sample_cells), which reads a block;
-L0Sketch.sample hands it to_block of its cells. What the banks' cells
-cost in bytes is counted where they are allocated, in streamvc.forest.
+L0Sketch.sample hands it to_block of its cells; repetition_levels reads
+a block one repetition at a time, to measure the decode rate. What the
+banks' cells cost in bytes is counted where they are allocated, in
+streamvc.forest.
 """
 from __future__ import annotations
 
@@ -41,9 +61,12 @@ from .seeds import derive_seed, mix_u64
 
 PRIME = (1 << 61) - 1
 
-# repetitions R = ceil(REP_SCALE * ln(1/delta)); per-repetition decode
-# success is a constant, so failure decays as delta^(const * REP_SCALE)
-REP_SCALE = 4.0
+# repetitions R = ceil(REP_SCALE * ln(1/delta)). A repetition decodes with
+# probability >= 2/3 (>= 0.625 with the level cut; see the module
+# docstring), so R repetitions all fail with probability <= (1/3)^R, which
+# is <= delta once R >= ln(1/delta) / ln 3 = 0.91 * ln(1/delta); 2 leaves
+# a 2.2x margin in the exponent (1.96x at the worst truncated case)
+REP_SCALE = 2.0
 
 
 class NonZeroIndex:
@@ -262,6 +285,23 @@ def sample_cells(counts, index_sums, fingerprints, reps: int, z: int, universe: 
         if found is not None:
             return found
     return FAIL
+
+
+def repetition_levels(counts, index_sums, fingerprints, reps: int, z: int, universe: int):
+    """Per repetition of one block, the level of its first one-sparse cell, or -1.
+
+    Reads the block of sample_cells one repetition at a time (the shared
+    level-0 cell, then that repetition's levels >= 1 in order), so the
+    share of entries >= 0 is the per-repetition decode rate that
+    REP_SCALE is sized from; sample_cells decodes in the first
+    repetition whose entry is >= 0.
+    """
+    passing = np.zeros(len(counts), dtype=bool)
+    for i in np.flatnonzero(counts).tolist():
+        cell = int(counts[i]), int(index_sums[i]), int(fingerprints[i])
+        passing[i] = _one_sparse(*cell, z, universe) is not None
+    passing = from_block(passing, reps)  # [rep, level]
+    return np.where(passing.any(axis=1), passing.argmax(axis=1), -1)
 
 
 def _one_sparse(c: int, s: int, fp: int, z: int, universe: int):

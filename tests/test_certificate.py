@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamvc import certificate, forest
+from streamvc import certificate, forest, l0
 from streamvc.certificate import (
     FOREST_BLOCK,
+    MAX_LIVE_MULTIPLICITY,
     PAPER_SCALE,
     CertParams,
     Certificate,
@@ -20,6 +21,7 @@ from streamvc.certificate import (
 )
 from streamvc.errors import (
     InvalidVertexError,
+    MultiplicityOverflowError,
     NegativeMultiplicityError,
     SelfLoopError,
     SpaceExceededError,
@@ -274,7 +276,7 @@ def test_space_cap_aborts():
 
 
 def test_space_cap_checked_before_allocation():
-    params = CertParams(n=32, k=2, scale_c=10, seed=20, delta=0.01)
+    params = CertParams(n=32, k=2, scale_c=25, seed=20, delta=0.01)
     state = sum(bank_bytes(32, len(s), 0.01) for s in sample_subsets(params))
     tracemalloc.start()
     try:
@@ -288,8 +290,9 @@ def test_space_cap_checked_before_allocation():
 
 
 def test_space_cap_checked_while_subsets_are_sampled():
-    # r is about 1e303: set-up must stop at the first block over the cap
-    params = CertParams(n=32, k=2, scale_c=1e300, seed=20, delta=0.1)
+    # r is about 7e5, just under max_forests(32): set-up must stop at the
+    # first block over the cap
+    params = CertParams(n=32, k=2, scale_c=5e4, seed=20, delta=0.1)
     tracemalloc.start()
     try:
         with pytest.raises(SpaceExceededError, match="subsets take"):
@@ -416,8 +419,84 @@ def test_offline_forest_count_is_bounded_before_sampling(monkeypatch):
         CertParams(n=8, k=2, scale_c=1e300),
         CertParams(n=8, k=8, scale_c=PAPER_SCALE * 1.01),
     ):
-        with pytest.raises(ValueError, match="exceeds the offline bound"):
+        with pytest.raises(ValueError, match="exceeds the forest bound"):
             build_certificate_offline(complete(8), params)
+
+
+def test_stream_forest_count_is_bounded_before_sampling(monkeypatch):
+    def never(*args):
+        raise AssertionError("subsets were sampled past the bound")
+
+    for params in (
+        CertParams(n=8, k=2, scale_c=1e300),
+        CertParams(n=8, k=8, scale_c=PAPER_SCALE * 1.01),
+    ):
+        with pytest.raises(ValueError) as offline:
+            build_certificate_offline(complete(8), params)
+        monkeypatch.setattr(certificate, "subset_mask", never)
+        with pytest.raises(ValueError, match="exceeds the forest bound") as dynamic:
+            StreamCertifier(params)
+        monkeypatch.undo()
+        assert str(dynamic.value) == str(offline.value)
+
+
+def test_live_multiplicity_overflow_is_refused_before_any_cell_changes():
+    assert MAX_LIVE_MULTIPLICITY == 2**31 - 1
+    events = gen_random_stream(8, 0.4, 0.3, seed=31)
+    certifier = StreamCertifier(CertParams(n=8, k=1, seed=32, delta=0.1))
+    for e in events:
+        certifier.update(e)
+    held = replay_stream(events, 8).mult
+    assert certifier.live_multiplicity == sum(held.values())
+    u, v = next(iter(held))
+    certifier.live_multiplicity = MAX_LIVE_MULTIPLICITY - 1
+    certifier.update(UpdateEvent(u, v, 1))  # reaches the bound exactly
+    store = certifier.store
+    before = [a.copy() for a in (store.counts, store.index_sums, store.fingerprints)]
+    with pytest.raises(MultiplicityOverflowError):
+        certifier.update(UpdateEvent(u, v, 1))
+    after = (store.counts, store.index_sums, store.fingerprints)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert certifier.live_multiplicity == MAX_LIVE_MULTIPLICITY
+    for _ in range(held[(u, v)] + 1):  # the refused insertion reached no state
+        certifier.update(UpdateEvent(u, v, -1))
+    assert certifier.live_multiplicity == MAX_LIVE_MULTIPLICITY - 1 - held[(u, v)]
+    with pytest.raises(NegativeMultiplicityError):
+        certifier.update(UpdateEvent(u, v, -1))
+
+
+def test_store_refuses_n_whose_index_sums_could_overflow():
+    n = forest.MAX_N
+    assert n * n <= 2**33 < (n + 1) ** 2
+    assert (n * (n - 1) // 2 - 1) * MAX_LIVE_MULTIPLICITY < 2**63
+    with pytest.raises(ValueError, match="index sums"):
+        forest.SketchStore(n + 1, np.zeros((1, n + 1), dtype=bool), 0.1, 0)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_repetition_cut_keeps_certificates(n, monkeypatch):
+    """Repetition seeds are a prefix, so REP_SCALE 4 -> 2 leaves every decode as it was."""
+    events = gen_random_stream(n, 0.3, 0.2, seed=33 + n)
+    params = CertParams(n=n, k=2, scale_c=10, seed=34 + n, delta=0.01)
+
+    def run():
+        forest.bank_shape.cache_clear()
+        certifier = StreamCertifier(params)
+        for e in events:
+            certifier.update(e)
+        return json.loads(certifier.finalize().to_json()), int(certifier.store.reps.max())
+
+    try:
+        monkeypatch.setattr(l0, "REP_SCALE", 4.0)
+        wide, wide_reps = run()
+    finally:
+        monkeypatch.undo()
+        forest.bank_shape.cache_clear()
+    cut, cut_reps = run()
+    assert cut_reps < wide_reps
+    assert cut.pop("measured_sketch_bytes") < wide.pop("measured_sketch_bytes")
+    assert cut == wide
+    assert cut["edges"]
 
 
 def test_physical_memory_bytes_is_positive_or_unknown():
@@ -426,10 +505,10 @@ def test_physical_memory_bytes_is_positive_or_unknown():
 
 
 def test_space_cap_defaults_to_physical_memory(monkeypatch):
-    # r is about 1e303: without a cap set-up must still stop, at physical
+    # r is about 7e5: without a cap set-up must still stop, at physical
     # memory (here a 10 MB host, so the test does not scale with the host's RAM)
     monkeypatch.setattr(certificate, "physical_memory_bytes", lambda: 10**7)
-    params = CertParams(n=32, k=2, scale_c=1e300, seed=20, delta=0.1)
+    params = CertParams(n=32, k=2, scale_c=5e4, seed=20, delta=0.1)
     with pytest.raises(SpaceExceededError, match="exceeds cap 10000000"):
         StreamCertifier(params)
 

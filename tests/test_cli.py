@@ -318,10 +318,11 @@ def test_certify_non_finite_scale_exit_2(tmp_path, capsys, scale_c):
 
 
 def test_certify_huge_scale_stops_at_the_space_cap(tmp_path, capsys):
+    # r is about 2.5e4, just under max_forests(8)
     path = tmp_path / "k8.stream"
     run_cli(capsys, "gen", "named", "--name", "complete(8)", "--k", "2", "--out", str(path))
     code, _, err = run_cli(
-        capsys, "certify", str(path), "--scale-c", "1e300", "--delta", "0.1",
+        capsys, "certify", str(path), "--scale-c", "3000", "--delta", "0.1",
         "--space-cap-bytes", "1000000",
     )
     assert code == 2
@@ -334,7 +335,7 @@ def test_certify_huge_scale_without_a_cap_exit_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "k8.stream"
     run_cli(capsys, "gen", "named", "--name", "complete(8)", "--k", "2", "--out", str(path))
     code, _, err = run_cli(
-        capsys, "certify", str(path), "--mode", "dynamic", "--scale-c", "1e300", "--delta", "0.1"
+        capsys, "certify", str(path), "--mode", "dynamic", "--scale-c", "3000", "--delta", "0.1"
     )
     assert code == 2
     assert "SpaceExceeded" in err["error"]
@@ -350,7 +351,29 @@ def test_certify_offline_huge_scale_exit_2(tmp_path, capsys):
     )
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out is None
-    assert "offline bound" in err["error"]
+    assert "forest bound" in err["error"]
+
+
+def test_certify_dynamic_huge_scale_exit_2(tmp_path, capsys):
+    path = tmp_path / "k8.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(8)", "--k", "2", "--out", str(path))
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "certify", str(path), "--mode", "dynamic", "--scale-c", "1e300", "--delta", "0.1"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out is None
+    assert "forest bound" in err["error"]
+
+
+def test_certify_live_multiplicity_overflow_exit_2(tmp_path, capsys, monkeypatch):
+    # complete(5) inserts 10 edges; a bound of 3 stands in for 2^31 - 1
+    monkeypatch.setattr(certificate, "MAX_LIVE_MULTIPLICITY", 3)
+    path = tmp_path / "k5.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    code, out, err = run_cli(capsys, "certify", str(path), "--mode", "dynamic")
+    assert code == 2 and out is None
+    assert err["error"].startswith("MultiplicityOverflowError")
 
 
 def test_check_negative_trials_exit_2(tmp_path, capsys):

@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamvc.errors import SeedMismatchError
-from streamvc.l0 import EMPTY, FAIL, L0Sketch, NonZeroIndex, PRIME, from_block, to_block
+from streamvc.l0 import (
+    EMPTY,
+    FAIL,
+    PRIME,
+    L0Sketch,
+    NonZeroIndex,
+    from_block,
+    repetition_count,
+    repetition_levels,
+    to_block,
+)
 
 
 def sketch_of(vector, universe, delta=0.01, seed=0):
@@ -27,7 +37,7 @@ def states_equal(a, b):
 def test_dimensions_match_construction():
     s = L0Sketch(16, 0.01, seed=7)
     assert s.levels == 6  # ceil(log2 16) + 2
-    assert s.reps == 19  # ceil(4 * ln 100)
+    assert s.reps == 10  # ceil(2 * ln 100)
 
 
 def test_degenerate_universe():
@@ -265,3 +275,30 @@ def test_block_keeps_level0_once_then_levels_rep_minor():
     stacked = np.stack([cells, cells + 100])  # leading axes pass through
     assert np.array_equal(to_block(stacked), np.stack([block, to_block(cells + 100)]))
     assert np.array_equal(from_block(to_block(stacked), reps), stacked)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.1, 1e-2, 1e-4, 1e-8])
+def test_repetition_count_meets_the_decode_bound(delta):
+    # every repetition decodes with probability >= 2/3, so R of them all fail
+    # with probability <= (1/3)^R (see the l0 module docstring)
+    assert (1 / 3) ** repetition_count(delta) <= delta
+
+
+def test_per_repetition_decode_rate_is_above_the_bound():
+    """Over supports of 1..64 coordinates, repetitions decode at >= 0.6 (bound 2/3)."""
+    universe, delta, top = 2016, 0.1, 64  # the pair universe of n = 64
+    rng = np.random.default_rng(0)
+    decoded = np.zeros(top + 1)
+    read = np.zeros(top + 1)
+    for seed in range(200):
+        s = L0Sketch(universe, delta, seed)
+        support = rng.choice(universe, size=top, replace=False).tolist()
+        for size, index in enumerate(support, start=1):
+            s.update(index, 1 if size % 2 else -1)
+            block = [to_block(a) for a in (s.counts, s.index_sums, s.fingerprints)]
+            levels = repetition_levels(*block, s.reps, s.z, universe)
+            decoded[size] += np.sum(levels >= 0)
+            read[size] += len(levels)
+    assert decoded.sum() / read.sum() >= 0.6
+    assert (decoded[1:] / read[1:]).min() >= 0.6  # each size, s = 2 the lowest at 2/3
+    assert decoded[1] == read[1]  # a single coordinate always decodes
