@@ -63,10 +63,12 @@ def main(argv=None) -> None:
 
     reads: list[np.ndarray] = []
     decode = forest.sample_cells
+    levels = certifier.store.levels
 
-    def observed(counts, index_sums, fingerprints, reps, z, universe):
-        outcome = decode(counts, index_sums, fingerprints, reps, z, universe)
+    def observed(counts, index_sums, fingerprints, z, universe):
+        outcome = decode(counts, index_sums, fingerprints, z, universe)
         if outcome is not EMPTY:
+            reps = (len(counts) - 1) // (levels - 1)  # len(counts) is block_cells(reps, levels)
             reads.append(repetition_levels(counts, index_sums, fingerprints, reps, z, universe))
         return outcome
 
@@ -87,7 +89,7 @@ def main(argv=None) -> None:
         "n": args.n,
         "k": args.k,
         "r": params.num_forests,
-        "levels": certifier.store.levels,
+        "levels": levels,
         "reps": [int(certifier.store.reps.min()), int(certifier.store.reps.max())],
         "decodes": len(reads),
         "failures": int(np.sum(share == 0)),

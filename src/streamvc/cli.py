@@ -148,11 +148,11 @@ def _certify(args) -> int:
 
 
 def _oracle(args) -> int:
-    n, k_file, events = streamio.read_stream(args.stream)
+    n, _, events = streamio.read_stream(args.stream)
     g = replay_stream(events, n).support()
-    k = args.k if args.k is not None else None
-    if k is not None:
-        print(json.dumps({"command": "oracle", "n": n, "k": k, "is_k_connected": is_k_connected(g, k)}))
+    if args.k is not None:
+        verdict = is_k_connected(g, args.k)
+        print(json.dumps({"command": "oracle", "n": n, "k": args.k, "is_k_connected": verdict}))
     else:
         print(json.dumps({"command": "oracle", "n": n, "vertex_connectivity": vertex_connectivity(g)}))
     return 0
@@ -213,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--density", type=float, default=0.3)
     p_gen.add_argument("--delete-frac", type=float, default=0.0)
     p_gen.add_argument("--extra-st-edges", type=int, default=0)
-    p_gen.add_argument("--disjoint", action="store_true")
-    p_gen.add_argument("--intersecting", action="store_true")
+    force = p_gen.add_mutually_exclusive_group()
+    force.add_argument("--disjoint", action="store_true")
+    force.add_argument("--intersecting", action="store_true")
     p_gen.set_defaults(func=_gen)
 
     p_cert = sub.add_parser("certify", help="run a certifier over a stream file")

@@ -19,12 +19,13 @@ the store takes n <= MAX_N = 92 681 and the product stays below 2^63.
 Fingerprints are residues mod p = 2^61 - 1. A bank is a row of the
 store: its members, its repetition count and the offset of its one
 contiguous run of cells, laid out [member, round, cell]. The block of one
-(member, round) is the level-0 cell followed by the [level >= 1, rep]
-cells, 1 + (levels - 1) * reps cells in all: level 0 admits every
-coordinate, so it is the same in every repetition and is kept once. The
-repetition count depends only on the number of members, so the store
-works it out once per distinct subset size and lays out every bank's
-offset with one cumsum; the store is ragged and holds no padding.
+(member, round) is the level-0 cell followed by each repetition's levels
+>= 1 in turn, 1 + reps * (levels - 1) cells in all (l0.to_block): level 0
+admits every coordinate, so it is the same in every repetition and is
+kept once. The repetition count depends only on the number of members,
+so the store works it out once per distinct subset size and lays out
+every bank's offset with one cumsum; the store is ragged and holds no
+padding.
 ForestSketchBank is a view of one row: built directly, it makes a store
 that holds just that bank.
 
@@ -39,23 +40,25 @@ round, sketch_seeds(derive_seed(seed, "round", r), max_reps): repetition
 seeds, a subsampling seed and a fingerprint base z. Every bank uses the
 first `reps` repetition seeds of that battery, which is exactly what
 L0Sketch(universe, sketch_delta, round_seed) derives, so the cells of one
-(bank, member, round) equal that reference sketch fed the member's signed
-incidence updates (its level-0 cell once, its deeper cells transposed to
-[level, rep]). Sharing a battery across banks is sound: a bank's
-failure bound is a union bound over its own samples and never uses
-independence between banks, and each round's battery is fresh, so the
-components that earlier rounds formed are independent of it. What
-sharing gives up is independence between banks' failures: banks with the
-same members hold identical cells and fail together, so a second bank
-over the same member set is no second attempt (the certifier builds one
-bank for k = 1, where every subset is the whole vertex set).
+(bank, member, round) equal to_block of that reference sketch fed the
+member's signed incidence updates, and the block of a bank with fewer
+repetitions is a prefix of the block of a bank with more. Sharing a
+battery across banks is sound: a bank's failure bound is a union bound
+over its own samples and never uses independence between banks, and
+each round's battery is fresh, so the components that earlier rounds
+formed are independent of it. What sharing gives up is independence
+between banks' failures: banks with the same members hold identical
+cells and fail together, so a second bank over the same member set is
+no second attempt (the certifier builds one bank for k = 1, where every
+subset is the whole vertex set).
 
 An event is folded into all the banks holding both endpoints in one
 vectorized pass: one hash over [round, rep], one z^index per round, one
-pattern of cell offsets per distinct repetition count, and one
-fancy-indexed add per field over both endpoints. Extraction reads the
-level-0 cells directly, to skip members that sample EMPTY and to sum a
-component once per round rather than once per repetition.
+block of reached cells per round, whose prefix gives the pattern of cell
+offsets of each distinct repetition count, and one fancy-indexed add per
+field over both endpoints. Extraction reads the level-0 cells directly,
+to skip members that sample EMPTY and to sum a component once per round
+rather than once per repetition.
 """
 from __future__ import annotations
 
@@ -226,7 +229,6 @@ class ForestSketchBank:
         if size <= 1:
             return ForestExtraction(forest, 0, 0)
         blocks = store.blocks(self.index)
-        reps = int(store.reps[self.index])
         slot = store._slot[:, self.index].tolist()
         uf = UnionFind(size)
         failures = 0
@@ -250,7 +252,7 @@ class ForestSketchBank:
                     counts, isums, fps = (c[positions[0]] for c in cells)
                 else:
                     counts, isums, fps = _merged(cells, positions)
-                outcome = sample_cells(counts, isums, fps, reps, store.z[r], store.universe)
+                outcome = sample_cells(counts, isums, fps, store.z[r], store.universe)
                 if outcome is FAIL:
                     failures += 1
                 elif isinstance(outcome, NonZeroIndex):
@@ -297,12 +299,12 @@ class SketchStore:
     count reps[b] (a function of its member count sizes[b], worked out
     once per distinct count) and the offset of its [member, round, cell]
     cells, handed out by blocks(b); ForestSketchBank is a view of one
-    row. The block of one (member, round) is the level-0 cell followed by
-    the [level >= 1, rep] cells, block_cells(reps, levels) in all. See
-    the module docstring for the layout, the seeding and the bytes (each
-    bank's bank_bytes, so a store's nbytes is their sum). Cells are
-    allocated with np.zeros and never pre-touched, so pages of cells no
-    event reaches stay unbacked.
+    row. The block of one (member, round) is l0.to_block of its cells: the
+    level-0 cell, then each repetition's levels >= 1 in turn,
+    block_cells(reps, levels) in all. See the module docstring for the
+    layout, the seeding and the bytes (each bank's bank_bytes, so a
+    store's nbytes is their sum). Cells are allocated with np.zeros and
+    never pre-touched, so pages of cells no event reaches stay unbacked.
     """
 
     def __init__(self, n: int, masks: np.ndarray, delta: float, seed: int):
@@ -369,23 +371,24 @@ class SketchStore:
 
         Every bank in hit must hold both endpoints, and lo < hi. The
         cells an event reaches within a member's rounds depend only on
-        the bank's repetition count, so each count's pattern of offsets
-        is worked out once and added to every hit bank's member bases.
+        the bank's repetition count: they are a prefix of the block the
+        event reaches at the most repetitions, which is worked out once,
+        and each count's pattern of offsets is added to every hit bank's
+        member bases.
         """
         idx = pair_index(lo, hi, self.n)
         # depth[round, rep]: the deepest level the pair lands in
         depth = deepest_levels(self._round_sub_seeds, self._round_rep_seeds, idx, self.levels)
         zpow = np.array([pow(z, idx, PRIME) for z in self.z], dtype=np.int64)
         sign = np.array([delta, -delta])[:, None, None]  # lo's cells, then hi's
-        # [round, rep, level]: the cells the pair lands in
-        lands = np.arange(self.levels) <= depth[:, :, None]
+        # [round, cell]: the cells the pair lands in, at the most repetitions
+        reached = to_block(np.arange(self.levels) <= depth[:, :, None])
         classes = self._rep_class[hit]
         for c in np.unique(classes).tolist():
             banks = hit[classes == c]
-            reps = int(self._class_reps[c])
-            reached = to_block(lands[:, :reps])  # [round, cell]
-            pattern = np.flatnonzero(reached)
-            dz = zpow[pattern // reached.shape[1]]
+            width = block_cells(int(self._class_reps[c]), self.levels)
+            pattern = np.flatnonzero(reached[:, :width])
+            dz = zpow[pattern // width]
             members = np.stack((self._slot[lo, banks], self._slot[hi, banks]))
             bases = self._offset[banks] + members * self._member_stride[banks]
             cells = bases[:, :, None] + pattern

@@ -39,11 +39,13 @@ L0Sketch is the reference implementation and keeps the full [reps,
 levels] cells. Forest banks keep the same cells for many sketches in
 flat arrays (streamvc.forest), with the level-0 cell, which every
 repetition shares, stored once per sketch: a block of block_cells(reps,
-levels) = 1 + (levels - 1) * reps cells, level 0 first and then the
-[level >= 1, rep] cells. block_cells, to_block and from_block are the
-one place that spells the block out. Banks share this module's seed
-derivation (sketch_seeds), level rule (level_count, deepest_levels),
-block layout and decoder (sample_cells), which reads a block;
+levels) = 1 + reps * (levels - 1) cells, level 0 first and then each
+repetition's levels >= 1 in turn. block_cells, to_block and from_block
+are the one place that spells the block out. Since repetition seeds are
+a prefix, the block of a sketch with fewer repetitions is a prefix of
+the block of one with more. Banks share this module's seed derivation
+(sketch_seeds), level rule (level_count, deepest_levels), block layout
+and decoder (sample_cells), which reads a block in storage order;
 L0Sketch.sample hands it to_block of its cells; repetition_levels reads
 a block one repetition at a time, to measure the decode rate. What the
 banks' cells cost in bytes is counted where they are allocated, in
@@ -51,7 +53,6 @@ streamvc.forest.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -228,57 +229,45 @@ class L0Sketch:
     def sample(self):
         """EMPTY, FAIL, or a NonZeroIndex from the support of the vector."""
         block = [to_block(a) for a in (self.counts, self.index_sums, self.fingerprints)]
-        return sample_cells(*block, self.reps, self.z, self.universe)
+        return sample_cells(*block, self.z, self.universe)
 
 
 def block_cells(reps: int, levels: int) -> int:
-    """Cells in one block (see to_block): level 0 once, then [level >= 1, rep]."""
-    return 1 + (levels - 1) * reps
+    """Cells in one block (see to_block): level 0 once, then each repetition's levels >= 1."""
+    return 1 + reps * (levels - 1)
 
 
 def to_block(cells: np.ndarray) -> np.ndarray:
-    """[..., reps, levels] cells as [..., 1 + (levels - 1) * reps] blocks.
+    """[..., reps, levels] cells as [..., 1 + reps * (levels - 1)] blocks.
 
     Cell 0 of a block is level 0, taken from repetition 0 (level 0 admits
     every coordinate, so every repetition holds the same level-0 cell);
-    cell 1 + (l - 1) * reps + q is level l >= 1 of repetition q.
+    cell 1 + q * (levels - 1) + (l - 1) is level l >= 1 of repetition q,
+    the C order of the cells with the level-0 column dropped. The first
+    block_cells(reps', levels) cells are the block of the first reps'
+    repetitions.
     """
     lead = cells.shape[:-2]
-    deeper = np.swapaxes(cells[..., 1:], -1, -2).reshape(*lead, -1)
-    return np.concatenate((cells[..., 0, :1], deeper), axis=-1)
+    return np.concatenate((cells[..., 0, :1], cells[..., 1:].reshape(*lead, -1)), axis=-1)
 
 
 def from_block(block: np.ndarray, reps: int) -> np.ndarray:
     """Inverse of to_block: [..., cells] blocks as [..., reps, levels] cells."""
     lead = block.shape[:-1]
     head = np.broadcast_to(block[..., :1, None], (*lead, reps, 1))
-    deeper = np.swapaxes(block[..., 1:].reshape(*lead, -1, reps), -1, -2)
-    return np.concatenate((head, deeper), axis=-1)
+    return np.concatenate((head, block[..., 1:].reshape(*lead, reps, -1)), axis=-1)
 
 
-@functools.cache
-def _scan_order(reps: int, size: int) -> np.ndarray:
-    """Block positions of the level >= 1 cells, repetition-major."""
-    return from_block(np.arange(size), reps)[:, 1:].ravel()
-
-
-def sample_cells(counts, index_sums, fingerprints, reps: int, z: int, universe: int):
+def sample_cells(counts, index_sums, fingerprints, z: int, universe: int):
     """Decode one nonzero coordinate from one block (see to_block) of raw cells.
 
     EMPTY when the level-0 cell is identically zero; otherwise the first
-    cell passing the one-sparse verification wins, level 0 first and
-    then levels >= 1 repetition-major (the cell a repetition-major scan
-    of the full [reps, levels] cells picks, since level 0 is the same in
-    every repetition); FAIL when none does.
+    cell, in block order, that passes the one-sparse verification wins
+    (a cell with a zero count never does); FAIL when none does.
     """
-    head = int(counts[0]), int(index_sums[0]), int(fingerprints[0])
-    if not any(head):
+    if not (counts[0] or index_sums[0] or fingerprints[0]):
         return EMPTY
-    found = _one_sparse(*head, z, universe)
-    if found is not None:
-        return found
-    order = _scan_order(reps, len(counts))
-    for cell in order[counts[order] != 0].tolist():
+    for cell in counts.nonzero()[0].tolist():
         found = _one_sparse(
             int(counts[cell]), int(index_sums[cell]), int(fingerprints[cell]), z, universe
         )

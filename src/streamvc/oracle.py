@@ -299,7 +299,7 @@ def has_k_connected_subgraph(g: EdgeSet, k: int) -> bool:
     low = max(k + 1, 2)
     if len(core) < low:
         return False
-    for comp_frozen in _core_components(g, core):
+    for comp_frozen in component_partition(core, g.edges):
         comp = sorted(comp_frozen)
         if len(comp) < low:
             continue
@@ -313,24 +313,7 @@ def has_k_connected_subgraph(g: EdgeSet, k: int) -> bool:
     return False
 
 
-def _core_components(g: EdgeSet, core: set[int]):
-    edges = [(u, v) for u, v in g.edges if u in core and v in core]
-    return component_partition(core, edges)
-
-
 def removal_disconnects(g: EdgeSet, cut: set[int]) -> bool:
     """Whether deleting `cut` disconnects g (or leaves fewer than 2 vertices)."""
     remaining = [v for v in range(g.n) if v not in cut]
-    if len(remaining) <= 1:
-        return True
-    adj = g.adjacency()
-    start = remaining[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in cut and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) < len(remaining)
+    return len(remaining) <= 1 or len(component_partition(remaining, g.edges)) > 1

@@ -335,10 +335,10 @@ def test_stream_cells_equal_reference_sketches(n, k):
                 for got, want in zip(
                     blocks, (ref.counts, ref.index_sums, ref.fingerprints)
                 ):
-                    # level 0 is kept once; levels >= 1 are laid out [level, rep]
+                    # level 0 is kept once; levels >= 1 are laid out [rep, level]
                     block = got[pos, r]
                     assert np.all(want[:, 0] == block[0])
-                    assert np.array_equal(block[1:].reshape(levels - 1, reps).T, want[:, 1:])
+                    assert np.array_equal(block[1:].reshape(reps, levels - 1), want[:, 1:])
     assert cells == len(store.counts) == len(store.fingerprints)
     if (n, k) == (8, 3):
         assert sizes == {0, 1, 2}  # empty and single-member banks are covered

@@ -111,6 +111,16 @@ def test_certify_intersecting_disjointness(tmp_path, capsys):
     assert report["verdict"] is False and report["oracle_verdict"] is False
 
 
+
+def test_gen_disjointness_refuses_both_forces(tmp_path, capsys):
+    path = tmp_path / "d.stream"
+    argv = ["gen", "disjointness", "--disjoint", "--intersecting", "--out", str(path)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not path.exists()
+
 def test_certify_insertion_rejects_deletions(tmp_path, capsys):
     path = tmp_path / "del.stream"
     write_stream(path, 4, 1, [UpdateEvent(0, 1, 1), UpdateEvent(0, 1, -1)])

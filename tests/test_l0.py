@@ -10,6 +10,7 @@ from streamvc.l0 import (
     PRIME,
     L0Sketch,
     NonZeroIndex,
+    block_cells,
     from_block,
     repetition_count,
     repetition_levels,
@@ -265,17 +266,36 @@ def test_zero_level0_count_with_nonzero_index_sum_decodes_like_full_scan():
         assert out is FAIL or out in (NonZeroIndex(2, 1), NonZeroIndex(5, -1))
 
 
-def test_block_keeps_level0_once_then_levels_rep_minor():
+def test_block_keeps_level0_once_then_levels_rep_major():
     reps, levels = 3, 4
     cells = np.arange(reps * levels).reshape(reps, levels)
     cells[:, 0] = 99  # level 0 is the same in every repetition
     block = to_block(cells)
-    assert block.tolist() == [99, 1, 5, 9, 2, 6, 10, 3, 7, 11]
+    assert block.tolist() == [99, 1, 2, 3, 5, 6, 7, 9, 10, 11]
     assert np.array_equal(from_block(block, reps), cells)
     stacked = np.stack([cells, cells + 100])  # leading axes pass through
     assert np.array_equal(to_block(stacked), np.stack([block, to_block(cells + 100)]))
     assert np.array_equal(from_block(to_block(stacked), reps), stacked)
 
+
+
+def test_block_of_fewer_repetitions_is_a_prefix():
+    """A sketch's block is the head of the block of the same sketch with more repetitions."""
+    universe = 200
+    small, large = L0Sketch(universe, 0.3, 5), L0Sketch(universe, 0.01, 5)
+    assert small.reps < large.reps and small.levels == large.levels
+    rng = np.random.default_rng(3)
+    for index in rng.choice(universe, size=40, replace=False).tolist():
+        step = int(rng.choice([-2, -1, 1, 3]))
+        small.update(index, step)
+        large.update(index, step)
+    head = block_cells(small.reps, small.levels)
+    for a, b in (
+        (small.counts, large.counts),
+        (small.index_sums, large.index_sums),
+        (small.fingerprints, large.fingerprints),
+    ):
+        assert np.array_equal(to_block(a), to_block(b)[:head])
 
 @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-2, 1e-4, 1e-8])
 def test_repetition_count_meets_the_decode_bound(delta):

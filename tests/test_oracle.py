@@ -274,3 +274,5 @@ def test_removal_disconnects():
     assert removal_disconnects(g, {1})
     assert not removal_disconnects(g, set())
     assert removal_disconnects(EdgeSet(3, [(0, 1)]), set())
+    assert removal_disconnects(g, {0, 1, 2})  # one vertex left
+    assert not removal_disconnects(g, {0})  # 1-2-3 stays connected

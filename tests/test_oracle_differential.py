@@ -24,6 +24,7 @@ from streamvc.oracle import (
     find_vertex_cut,
     is_k_connected,
     max_vertex_disjoint_paths,
+    removal_disconnects,
     vertex_connectivity,
 )
 
@@ -145,6 +146,15 @@ def test_disjoint_paths_match_networkx(g):
             want = nx.connectivity.local_node_connectivity(h, s, t)
         assert max_vertex_disjoint_paths(g, s, t) == want, (s, t)
 
+
+@pytest.mark.parametrize("g", [g for _, g in CORPUS], ids=IDS)
+def test_removal_disconnects_matches_networkx(g):
+    h = to_nx(g)
+    rng = np.random.default_rng(7 * g.n + len(g))
+    for _ in range(12):
+        cut = {int(v) for v in rng.choice(g.n, size=int(rng.integers(0, g.n + 1)), replace=False)}
+        rest = h.subgraph(set(h) - cut)
+        assert removal_disconnects(g, cut) == (len(rest) < 2 or not nx.is_connected(rest)), cut
 
 def test_min_degree_vertex_lies_in_every_minimum_cut():
     # the corpus case the neighbour pairs exist for: 0 is the unique
