@@ -65,8 +65,8 @@ class CertParams:
 
     scale_c is the leading constant of the forest count; the analysis
     uses 200, which is far more than small instances need, so 20 is the
-    default here and 200 is opt-in ("paper mode"). delta is the
-    per-forest sketch failure budget, defaulting to n^-4.
+    default here and 200 is opt-in (the CLI's --scale-c 200). delta is
+    the per-forest sketch failure budget, defaulting to n^-4.
     """
 
     n: int

@@ -218,7 +218,9 @@ class ForestSketchBank:
 
         Contraction rounds: merge each current component's round-r
         sketches, sample one outgoing edge per component, union the
-        sampled edges. Stops early once a round samples nothing. Sample
+        sampled edges. Stops early once a round samples nothing and no
+        decode fails: every cut is then empty, while a failed decode may
+        still succeed on a later round's independent battery. Sample
         failures (and any decode whose endpoints fall outside the member
         set, which the fingerprint makes astronomically unlikely) are
         counted, not fatal.
@@ -240,6 +242,7 @@ class ForestSketchBank:
             if len(comps) == 1:
                 break
             rounds_used += 1
+            failures_before = failures
             cells = [b[:, r] for b in blocks]
             # a member whose level-0 cell is zero samples EMPTY
             live = ((cells[0][:, 0] != 0) | (cells[1][:, 0] != 0) | (cells[2][:, 0] != 0)).tolist()
@@ -261,7 +264,7 @@ class ForestSketchBank:
                         sampled.append((u, v))
                     else:
                         failures += 1
-            if not sampled:
+            if not sampled and failures == failures_before:
                 break
             for u, v in sampled:
                 if uf.union(slot[u], slot[v]):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -266,20 +267,6 @@ def test_cert_out_writes_certificate_json(tmp_path, capsys):
     assert len(cert.edges) == report["certificate_edges"]
 
 
-def test_paper_mode_scale(tmp_path, capsys):
-    path = tmp_path / "c5.stream"
-    run_cli(capsys, "gen", "named", "--name", "cycle(5)", "--k", "2", "--out", str(path))
-    code, report, _ = run_cli(
-        capsys, "certify", str(path), "--mode", "offline", "--paper-mode"
-    )
-    assert code == 0
-    assert report["params"]["C"] == 200.0
-    code, report, _ = run_cli(
-        capsys, "certify", str(path), "--mode", "offline", "--paper-mode", "--scale-c", "7"
-    )
-    assert report["params"]["C"] == 7.0  # explicit flag wins
-
-
 def test_subprocess_entry_exit_codes(tmp_path):
     import subprocess
     import sys
@@ -405,19 +392,62 @@ def test_gen_random_without_vertices_exit_2(tmp_path, capsys, n):
 
 def test_gen_named_without_name_exit_2(tmp_path, capsys):
     path = tmp_path / "named.stream"
-    code, out, err = run_cli(capsys, "gen", "named", "--out", str(path))
-    assert code == 2 and out is None
-    assert err["error"].startswith("ValueError") and "--name" in err["error"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", "named", "--out", str(path)])
+    assert exit_.value.code == 2
+    assert "--name" in capsys.readouterr().err
     assert not path.exists()
 
 
-def test_readme_cli_flags_are_parser_options():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--disjoint"],
+        ["random", "--name", "complete(5)"],
+        ["named", "--name", "complete(5)", "--density", "0.5"],
+        ["named", "--name", "complete(5)", "--seed", "3"],
+        ["named", "--n", "6", "--name", "complete(5)"],
+        ["planted", "--delete-frac", "0.2"],
+        ["disjointness", "--extra-st-edges", "2"],
+    ],
+    ids=" ".join,
+)
+def test_gen_flag_of_another_kind_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "x.stream"
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", *argv, "--out", str(path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def _readme_cli_section() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
-    commands = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    options = {o for p in commands.choices.values() for o in p._option_string_actions}
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _parser_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of a parser and of its subparsers, at any depth."""
+    options = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _parser_options(sub)
+    return options
+
+
+def test_readme_cli_flags_are_parser_options():
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_cli_section()))
+    options = _parser_options(build_parser())
     assert flags, "no --flag found in README's CLI section"
     assert flags <= options, f"README names flags no subcommand takes: {sorted(flags - options)}"
+
+
+def test_readme_cli_command_lines_parse():
+    lines = [
+        line for line in _readme_cli_section().splitlines() if line.startswith("streamvc ")
+    ]
+    assert lines, "no streamvc command line found in README's CLI section"
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streamvc import forest as forest_mod
 from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.forest import (
     ForestSketchBank,
@@ -17,7 +18,7 @@ from streamvc.graph import (
     replay_stream,
 )
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import PRIME, NonZeroIndex
+from streamvc.l0 import FAIL, PRIME, NonZeroIndex
 from streamvc.seeds import derive_seed
 
 
@@ -197,6 +198,25 @@ def test_rounds_use_independent_batteries():
     for r in range(bank.rounds):
         assert bank.sketch(0, r).seed == bank.sketch(3, r).seed
         assert bank.sketch(0, r).z == bank.sketch(3, r).z
+
+
+def test_extraction_retries_after_a_round_of_failed_decodes(monkeypatch):
+    # a round in which every decode fails is not a finished forest: the
+    # next round's independent battery may still merge the components
+    n = 6
+    bank = ForestSketchBank(n, range(n), 0.01, seed=3)
+    for u in range(n - 1):
+        bank.update(UpdateEvent(u, u + 1, 1))
+    store, decode = bank.store, forest_mod.sample_cells
+
+    def fail_round_0(counts, isums, fps, z, universe):
+        return FAIL if z == store.z[0] else decode(counts, isums, fps, z, universe)
+
+    monkeypatch.setattr(forest_mod, "sample_cells", fail_round_0)
+    ext = bank.extract()
+    assert ext.forest == EdgeSet(n, [(u, u + 1) for u in range(n - 1)])
+    assert ext.sample_failures == n
+    assert 1 < ext.rounds_used <= bank.rounds
 
 
 def test_merged_component_reduces_level0_fingerprints_mod_p():
