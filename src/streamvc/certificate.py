@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MultiplicityOverflowError, SpaceExceededError
-from .forest import CELL_DTYPES, ForestSketchBank, SketchStore, bank_bytes
+from .forest import CELL_DTYPES, ForestSketchBank, SketchStore, bank_bytes, check_vertex_count
 from .graph import EdgeSet, MultiGraph, UpdateEvent
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
@@ -297,8 +297,9 @@ class StreamCertifier:
     self.banks[i] a ForestSketchBank view of row i. Each event is folded
     into every bank that holds both endpoints in one vectorized pass.
 
-    A forest count above max_forests(n) is rejected before any subset is
-    sampled, as the offline builder does. The measured byte footprint,
+    An n above forest.MAX_N, which the store cannot take, and a forest
+    count above max_forests(n) (as the offline builder does) are rejected
+    before any subset is sampled. The measured byte footprint,
     the sum of the banks' bank_bytes, is what the store allocates and a
     pure function of the parameters, so the space cap is checked before
     any cell is allocated, block by block while the subsets are sampled:
@@ -318,6 +319,7 @@ class StreamCertifier:
     def __init__(self, params: CertParams, space_cap_bytes: int | None = None):
         self.params = params
         n, delta = params.n, params.resolved_delta
+        check_vertex_count(n)
         _check_forest_count(params)
         if space_cap_bytes is None:
             space_cap_bytes = physical_memory_bytes()

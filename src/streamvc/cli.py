@@ -15,7 +15,7 @@ certify and check share --k (default: the header's k), --seed, --scale-c
 (the forest-count constant C, default TEST_SCALE = 20; the analysis
 constant is --scale-c 200) and --delta. Reports are single JSON objects
 on stdout; exit codes for certify are 0 = k-connected, 1 = not, 2 =
-error, abort or usage error.
+error (running out of memory included), abort or usage error.
 """
 from __future__ import annotations
 
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StreamError, ValueError, OSError) as exc:
+    except (StreamError, ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
 

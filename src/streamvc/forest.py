@@ -56,9 +56,14 @@ An event is folded into all the banks holding both endpoints in one
 vectorized pass: one hash over [round, rep], one z^index per round, one
 block of reached cells per round, whose prefix gives the pattern of cell
 offsets of each distinct repetition count, and one fancy-indexed add per
-field over both endpoints. Extraction reads the level-0 cells directly,
-to skip members that sample EMPTY and to sum a component once per round
-rather than once per repetition.
+field over both endpoints. Extraction reads the level-0 cells once per
+call to find the live members, those whose level-0 cell is nonzero in
+some round; a member that is not live samples EMPTY in every round and is
+never decoded. The live members' components persist across rounds, each
+union moving the old root's member positions to the new root, and a
+component is summed once per round rather than once per repetition.
+Extraction stops once at most one live component is left, or after a
+round in which every decode is EMPTY.
 """
 from __future__ import annotations
 
@@ -70,7 +75,7 @@ import numpy as np
 
 from .graph import EdgeSet, UnionFind, UpdateEvent, validate_event
 from .l0 import (
-    FAIL,
+    EMPTY,
     PRIME,
     L0Sketch,
     NonZeroIndex,
@@ -94,6 +99,12 @@ SLOT_DTYPE = np.int64
 MAX_N = math.isqrt(2**33)
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError for an n above MAX_N, which the store cannot take."""
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds {MAX_N}, above which index sums can overflow int64")
+
+
 def pair_index(u: int, v: int, n: int) -> int:
     """Compacted triangular index of the unordered pair {u,v}, u < v."""
     if u > v:
@@ -104,20 +115,17 @@ def pair_index(u: int, v: int, n: int) -> int:
 
 
 def pair_from_index(idx: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_index via binary search on row offsets."""
+    """Inverse of pair_index, in closed form.
+
+    Counted from the last pair, m = total - 1 - idx lies in row
+    j = n - 2 - u from the end, which holds j + 1 pairs and starts at
+    j (j + 1) / 2, so j = floor((sqrt(8 m + 1) - 1) / 2).
+    """
     total = n * (n - 1) // 2
     if not (0 <= idx < total):
         raise ValueError(f"pair index {idx} not in 0..{total - 1}")
-    lo, hi = 0, n - 1  # row u satisfies offset(u) <= idx < offset(u+1)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid * (2 * n - mid - 1) // 2 <= idx:
-            lo = mid
-        else:
-            hi = mid
-    u = lo
-    v = idx - u * (2 * n - u - 1) // 2 + u + 1
-    return u, v
+    u = n - 2 - (math.isqrt(8 * (total - 1 - idx) + 1) - 1) // 2
+    return u, idx - u * (2 * n - u - 1) // 2 + u + 1
 
 
 def round_count(n: int) -> int:
@@ -163,7 +171,13 @@ def bank_bytes(n: int, member_count: int, delta: float) -> int:
 
 @dataclass
 class ForestExtraction:
-    """Result of one extraction: the forest plus failure bookkeeping."""
+    """Result of one extraction: the forest plus failure bookkeeping.
+
+    sample_failures counts the decodes that failed or named a pair outside
+    the members. rounds_used counts the rounds that decoded something: a
+    round runs only while at least two live components are left, so there
+    is no trailing all-EMPTY round once the live members form one component.
+    """
 
     forest: EdgeSet
     sample_failures: int
@@ -216,59 +230,60 @@ class ForestSketchBank:
     def extract(self) -> ForestExtraction:
         """Recover a spanning forest of the induced subgraph on the members.
 
-        Contraction rounds: merge each current component's round-r
-        sketches, sample one outgoing edge per component, union the
-        sampled edges. Stops early once a round samples nothing and no
-        decode fails: every cut is then empty, while a failed decode may
+        Contraction rounds over the live members, those whose level-0
+        cell is nonzero in some round: every other member's incidence
+        vector is zero, except with probability at most U/p (the
+        fingerprint bound), so it samples EMPTY in every round and is
+        never decoded.
+        Each round merges each live component's round-r sketches, samples
+        one outgoing edge per component and unions the sampled edges;
+        the components persist across rounds, a union moving the old
+        root's member positions to the new root. Stops once at most one
+        live component is left, or after a round in which every decode
+        is EMPTY: every cut is then empty, while a failed decode may
         still succeed on a later round's independent battery. Sample
         failures (and any decode whose endpoints fall outside the member
         set, which the fingerprint makes astronomically unlikely) are
         counted, not fatal.
         """
         store = self.store
-        size = int(store.sizes[self.index])
-        forest = EdgeSet(store.n)
-        if size <= 1:
-            return ForestExtraction(forest, 0, 0)
         blocks = store.blocks(self.index)
         slot = store._slot[:, self.index].tolist()
-        uf = UnionFind(size)
-        failures = 0
-        rounds_used = 0
+        live = np.flatnonzero(np.any([b[:, :, 0] != 0 for b in blocks], axis=(0, 2)))
+        comps = {pos: [pos] for pos in live.tolist()}  # root -> member positions
+        uf = UnionFind(int(store.sizes[self.index]))
+        forest = EdgeSet(store.n)
+        failures = rounds_used = 0
         for r in range(store.rounds):
-            comps: dict[int, list[int]] = {}
-            for pos in range(size):
-                comps.setdefault(uf.find(pos), []).append(pos)
-            if len(comps) == 1:
+            if len(comps) <= 1:
                 break
             rounds_used += 1
-            failures_before = failures
             cells = [b[:, r] for b in blocks]
-            # a member whose level-0 cell is zero samples EMPTY
-            live = ((cells[0][:, 0] != 0) | (cells[1][:, 0] != 0) | (cells[2][:, 0] != 0)).tolist()
-            sampled: list[tuple[int, int]] = []
+            outcomes = []
             for root in sorted(comps):
                 positions = comps[root]
                 if len(positions) == 1:
-                    if not live[positions[0]]:
-                        continue
-                    counts, isums, fps = (c[positions[0]] for c in cells)
+                    cell_sums = (c[positions[0]] for c in cells)
                 else:
-                    counts, isums, fps = _merged(cells, positions)
-                outcome = sample_cells(counts, isums, fps, store.z[r], store.universe)
-                if outcome is FAIL:
-                    failures += 1
-                elif isinstance(outcome, NonZeroIndex):
+                    cell_sums = _merged(cells, positions)
+                outcomes.append(sample_cells(*cell_sums, store.z[r], store.universe))
+            if all(outcome is EMPTY for outcome in outcomes):
+                break
+            sampled: list[tuple[int, int]] = []
+            for outcome in outcomes:
+                if isinstance(outcome, NonZeroIndex):
                     u, v = pair_from_index(outcome.index, store.n)
                     if slot[u] >= 0 and slot[v] >= 0:
                         sampled.append((u, v))
-                    else:
-                        failures += 1
-            if not sampled and failures == failures_before:
-                break
+                        continue
+                failures += outcome is not EMPTY
             for u, v in sampled:
-                if uf.union(slot[u], slot[v]):
+                a, b = uf.find(slot[u]), uf.find(slot[v])
+                if uf.union(a, b):
                     forest.add(u, v)
+                    keep, gone = (a, b) if uf.find(a) == a else (b, a)
+                    # a member that is not live joins only through a sampled edge
+                    comps.setdefault(keep, [keep]).extend(comps.pop(gone, [gone]))
         return ForestExtraction(forest, failures, rounds_used)
 
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
@@ -313,8 +328,7 @@ class SketchStore:
     def __init__(self, n: int, masks: np.ndarray, delta: float, seed: int):
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must be in (0,1), got {delta}")
-        if n > MAX_N:
-            raise ValueError(f"n={n} exceeds {MAX_N}, above which index sums can overflow int64")
+        check_vertex_count(n)
         self.n = n
         self.delta = delta
         self.seed = seed

@@ -18,6 +18,12 @@ from .graph import EdgeSet, UpdateEvent
 from .oracle import is_k_connected, removal_disconnects
 from .seeds import derive_seed
 
+# share of 1s in each string of random_disjointness
+DISJOINTNESS_ONES_PROB = 0.25
+# share of the within-side edges gen_planted_cut thins out at its first attempt
+PLANTED_THIN_PROB = 0.15
+# share of gen_random_stream's included pairs that get a second copy
+DOUBLE_EDGE_PROB = 0.1
 
 @dataclass(frozen=True)
 class DisjointnessInstance:
@@ -46,13 +52,13 @@ class DisjointnessInstance:
 
 
 def random_disjointness(
-    n: int, k: int, seed: int, force: str | None = None, ones_prob: float = 0.25
+    n: int, k: int, seed: int, force: str | None = None
 ) -> DisjointnessInstance:
     """Random instance; force="disjoint" or "intersecting" pins the answer."""
     rng = np.random.default_rng(derive_seed(seed, "disjointness", n, k))
     size = k * (n - k)
-    x = (rng.random(size) < ones_prob).astype(int)
-    y = (rng.random(size) < ones_prob).astype(int)
+    x = (rng.random(size) < DISJOINTNESS_ONES_PROB).astype(int)
+    y = (rng.random(size) < DISJOINTNESS_ONES_PROB).astype(int)
     if force == "disjoint":
         y[x == 1] = 0
     elif force == "intersecting":
@@ -89,7 +95,7 @@ def gen_disjointness(
 
 
 def gen_planted_cut(
-    n: int, k: int, seed: int, extra_st_edges: int = 0, thin_prob: float = 0.15
+    n: int, k: int, seed: int, extra_st_edges: int = 0
 ) -> tuple[EdgeSet, set[int]]:
     """Graph with a planted separator X of size k-1.
 
@@ -127,7 +133,7 @@ def gen_planted_cut(
             g.add(int(rng.choice(side_s)), int(rng.choice(side_t)))
         return g
 
-    for attempt in (thin_prob, thin_prob / 2, 0.0):
+    for attempt in (PLANTED_THIN_PROB, PLANTED_THIN_PROB / 2, 0.0):
         g = build(attempt)
         if extra_st_edges == 0:
             ok = removal_disconnects(g, cut)
@@ -148,7 +154,6 @@ def gen_random_stream(
     target_density: float,
     delete_fraction: float,
     seed: int,
-    double_edge_prob: float = 0.1,
 ) -> list[UpdateEvent]:
     """Legal dynamic stream whose final graph is an ER-style multigraph.
 
@@ -165,7 +170,7 @@ def gen_random_stream(
         for v in range(u + 1, n):
             if rng.random() < target_density:
                 inserts.append(UpdateEvent(u, v, 1))
-                if rng.random() < double_edge_prob:
+                if rng.random() < DOUBLE_EDGE_PROB:
                     inserts.append(UpdateEvent(u, v, 1))
     order = rng.permutation(len(inserts))
     # track insert copies by id so each deletion lands after its own copy

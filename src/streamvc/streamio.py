@@ -2,7 +2,8 @@
 
 First non-comment line is the header "n k"; every following data line is
 "u v d" with d in {+1, -1}. '#' starts a comment, blank lines are
-ignored. The format is diffable and trivial to generate by hand.
+ignored. Lines end at "\n", "\r\n" or "\r"; the last may lack one. The
+format is diffable and trivial to generate by hand.
 """
 from __future__ import annotations
 
@@ -33,32 +34,34 @@ def write_stream(
 
 
 def read_stream(path) -> tuple[int, int, list[UpdateEvent]]:
+    """The header's n and k and the list of events, read one line at a time."""
     n = k = None
     events: list[UpdateEvent] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 2:
-                raise StreamFormatError("header must be 'n k'", line=lineno)
+    with open(path, encoding="utf-8") as lines:
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if n is None:
+                if len(fields) != 2:
+                    raise StreamFormatError("header must be 'n k'", line=lineno)
+                try:
+                    n, k = int(fields[0]), int(fields[1])
+                except ValueError:
+                    raise StreamFormatError("header must hold two integers", line=lineno)
+                if n < 1 or k < 1:
+                    raise StreamFormatError("header needs n >= 1 and k >= 1", line=lineno)
+                continue
+            if len(fields) != 3:
+                raise StreamFormatError("event line must be 'u v d'", line=lineno)
             try:
-                n, k = int(fields[0]), int(fields[1])
+                u, v, d = int(fields[0]), int(fields[1]), int(fields[2])
             except ValueError:
-                raise StreamFormatError("header must hold two integers", line=lineno)
-            if n < 1 or k < 1:
-                raise StreamFormatError("header needs n >= 1 and k >= 1", line=lineno)
-            continue
-        if len(fields) != 3:
-            raise StreamFormatError("event line must be 'u v d'", line=lineno)
-        try:
-            u, v, d = int(fields[0]), int(fields[1]), int(fields[2])
-        except ValueError:
-            raise StreamFormatError("event fields must be integers", line=lineno)
-        if d not in (1, -1):
-            raise StreamFormatError(f"delta must be +1 or -1, got {d}", line=lineno)
-        events.append(UpdateEvent(u, v, d))
+                raise StreamFormatError("event fields must be integers", line=lineno)
+            if d not in (1, -1):
+                raise StreamFormatError(f"delta must be +1 or -1, got {d}", line=lineno)
+            events.append(UpdateEvent(u, v, d))
     if n is None:
         raise StreamFormatError("missing header line 'n k'")
     return n, k, events

@@ -10,6 +10,7 @@ import pytest
 from streamvc import certificate
 from streamvc.cli import build_parser, main
 from streamvc.errors import StreamFormatError
+from streamvc.forest import MAX_N
 from streamvc.graph import UpdateEvent
 from streamvc.streamio import read_stream, write_stream
 
@@ -56,6 +57,28 @@ def test_parse_error_reports_line_number(tmp_path):
     with pytest.raises(StreamFormatError) as err:
         read_stream(path)
     assert err.value.line == 4
+
+
+def test_stream_crlf_without_final_newline(tmp_path):
+    path = tmp_path / "crlf.stream"
+    path.write_bytes(b"# comment\r\n4 2\r\n0 1 +1\r\n\r\n1 2 +1 # last\r\n2 3 -1")
+    assert read_stream(path) == (
+        4,
+        2,
+        [UpdateEvent(0, 1, 1), UpdateEvent(1, 2, 1), UpdateEvent(2, 3, -1)],
+    )
+    path.write_bytes(b"4 2\r0 1 +1\r\n0 1 oops")
+    with pytest.raises(StreamFormatError) as err:
+        read_stream(path)
+    assert err.value.line == 3
+
+
+def test_stream_form_feed_is_not_a_line_break(tmp_path):
+    path = tmp_path / "ff.stream"
+    path.write_text("4 2\n0 1 +1\x0c1 2 +1\n")
+    with pytest.raises(StreamFormatError, match="event line") as err:
+        read_stream(path)
+    assert err.value.line == 2
 
 
 def test_gen_and_certify_complete(tmp_path, capsys):
@@ -371,6 +394,32 @@ def test_certify_live_multiplicity_overflow_exit_2(tmp_path, capsys, monkeypatch
     code, out, err = run_cli(capsys, "certify", str(path), "--mode", "dynamic")
     assert code == 2 and out is None
     assert err["error"].startswith("MultiplicityOverflowError")
+
+
+def test_certify_dynamic_n_above_max_n_exit_2(tmp_path, capsys, monkeypatch):
+    # refused before any subset is sampled: one [64, n] mask block alone is
+    # tens of GB at n = 10^8
+    def no_sampling(*args):
+        raise AssertionError("subset_mask called")
+
+    monkeypatch.setattr(certificate, "subset_mask", no_sampling)
+    path = tmp_path / "huge.stream"
+    path.write_text(f"{MAX_N + 1} 2\n0 1 +1\n")
+    code, out, err = run_cli(capsys, "certify", str(path), "--mode", "dynamic")
+    assert code == 2 and out is None
+    assert err["error"].startswith("ValueError") and f"exceeds {MAX_N}" in err["error"]
+
+
+def test_certify_memory_error_exit_2(tmp_path, capsys, monkeypatch):
+    def out_of_memory(self, e):
+        raise MemoryError("no room for the validation graph")
+
+    monkeypatch.setattr(certificate.StreamCertifier, "update", out_of_memory)
+    path = tmp_path / "k5.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    code, out, err = run_cli(capsys, "certify", str(path), "--mode", "dynamic")
+    assert code == 2 and out is None
+    assert err["error"] == "MemoryError: no room for the validation graph"
 
 
 def test_check_negative_trials_exit_2(tmp_path, capsys):

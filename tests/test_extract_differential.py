@@ -1,0 +1,162 @@
+"""Differential test: ForestSketchBank.extract against the extraction loop it replaced.
+
+reference_extract is the earlier loop, kept as it was apart from taking the
+bank as an argument and calling forest's _merged and sample_cells through
+the module, so that a patched decoder reaches both loops. Every round it
+rebuilds the component map with UnionFind.find over every member and
+re-tests every singleton's level-0 cell, and it stops once the members
+form one component or a round samples nothing and fails nothing. extract
+works on the live members only, keeps
+its components across rounds and stops once at most one live component
+is left. Both must give the same forest and failure count on every bank,
+and extract runs no more rounds.
+"""
+import numpy as np
+import pytest
+
+from streamvc import forest as forest_mod
+from streamvc.certificate import CertParams, StreamCertifier
+from streamvc.forest import ForestExtraction, ForestSketchBank, pair_from_index, pair_index
+from streamvc.graph import EdgeSet, UnionFind, UpdateEvent
+from streamvc.instances import gen_random_stream
+from streamvc.l0 import EMPTY, FAIL, NonZeroIndex
+
+
+def reference_extract(bank: ForestSketchBank) -> ForestExtraction:
+    store = bank.store
+    size = int(store.sizes[bank.index])
+    forest = EdgeSet(store.n)
+    if size <= 1:
+        return ForestExtraction(forest, 0, 0)
+    blocks = store.blocks(bank.index)
+    slot = store._slot[:, bank.index].tolist()
+    uf = UnionFind(size)
+    failures = 0
+    rounds_used = 0
+    for r in range(store.rounds):
+        comps: dict[int, list[int]] = {}
+        for pos in range(size):
+            comps.setdefault(uf.find(pos), []).append(pos)
+        if len(comps) == 1:
+            break
+        rounds_used += 1
+        failures_before = failures
+        cells = [b[:, r] for b in blocks]
+        live = ((cells[0][:, 0] != 0) | (cells[1][:, 0] != 0) | (cells[2][:, 0] != 0)).tolist()
+        sampled: list[tuple[int, int]] = []
+        for root in sorted(comps):
+            positions = comps[root]
+            if len(positions) == 1:
+                if not live[positions[0]]:
+                    continue
+                counts, isums, fps = (c[positions[0]] for c in cells)
+            else:
+                counts, isums, fps = forest_mod._merged(cells, positions)
+            outcome = forest_mod.sample_cells(counts, isums, fps, store.z[r], store.universe)
+            if outcome is FAIL:
+                failures += 1
+            elif isinstance(outcome, NonZeroIndex):
+                u, v = pair_from_index(outcome.index, store.n)
+                if slot[u] >= 0 and slot[v] >= 0:
+                    sampled.append((u, v))
+                else:
+                    failures += 1
+        if not sampled and failures == failures_before:
+            break
+        for u, v in sampled:
+            if uf.union(slot[u], slot[v]):
+                forest.add(u, v)
+    return ForestExtraction(forest, failures, rounds_used)
+
+
+def assert_same_extraction(bank: ForestSketchBank) -> None:
+    got, want = bank.extract(), reference_extract(bank)
+    assert got.forest == want.forest
+    assert got.sample_failures == want.sample_failures
+    assert got.rounds_used <= want.rounds_used
+
+
+def random_bank(rng, n: int, seed: int) -> ForestSketchBank:
+    """A bank on a random member subset of a sparse random stream, isolated members likely."""
+    members = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+    bank = ForestSketchBank(n, members, 0.05, seed=seed)
+    for e in gen_random_stream(n, float(rng.uniform(0.02, 0.4)), 0.3, seed=seed):
+        bank.update(e)
+    return bank
+
+
+def patch_decoder(monkeypatch, bank: ForestSketchBank, rounds: set[int], replace) -> None:
+    """In the given rounds, a decode that is not EMPTY returns replace(outcome) instead.
+
+    EMPTY stays EMPTY: the decoder reads EMPTY exactly when the level-0
+    cell is zero, which a zero vector always gives.
+    """
+    decode = forest_mod.sample_cells
+    zs = {bank.store.z[r] for r in rounds}
+
+    def patched(counts, isums, fps, z, universe):
+        outcome = decode(counts, isums, fps, z, universe)
+        return outcome if outcome is EMPTY or z not in zs else replace(outcome)
+
+    monkeypatch.setattr(forest_mod, "sample_cells", patched)
+
+
+@pytest.mark.parametrize("members", [[], [3], [0, 5], [1, 2, 6]])
+def test_tiny_banks_and_isolated_members(members):
+    bank = ForestSketchBank(8, members, 0.01, seed=4)
+    for u, v in [(1, 2), (3, 4), (0, 7)]:
+        bank.update(UpdateEvent(u, v, 1))
+    assert_same_extraction(bank)
+
+
+def test_random_banks():
+    rng = np.random.default_rng(1201)
+    for t in range(60):
+        n = int(rng.integers(2, 21))
+        assert_same_extraction(random_bank(rng, n, seed=t))
+
+
+def test_certifier_banks():
+    n = 16
+    params = CertParams(n=n, k=2, scale_c=2, seed=5, delta=0.05)
+    certifier = StreamCertifier(params)
+    for e in gen_random_stream(n, 0.15, 0.3, seed=6):
+        certifier.update(e)
+    for bank in certifier.banks:
+        assert_same_extraction(bank)
+
+
+@pytest.mark.parametrize("rounds", [{0}, {1}, {0, 1}, {0, 2, 3}])
+def test_decodes_failing_in_chosen_rounds(monkeypatch, rounds):
+    rng = np.random.default_rng(1300 + len(rounds))
+    for t in range(20):
+        bank = random_bank(rng, int(rng.integers(8, 17)), seed=100 + t)  # >= 4 rounds
+        patch_decoder(monkeypatch, bank, rounds, lambda outcome: FAIL)
+        assert_same_extraction(bank)
+        monkeypatch.undo()
+
+
+def test_decodes_leaving_the_members_in_chosen_rounds(monkeypatch):
+    # every decode of round 1 names a pair with an endpoint outside the bank
+    n = 12
+    bank = ForestSketchBank(n, range(n - 1), 0.05, seed=7)
+    for e in gen_random_stream(n, 0.25, 0.2, seed=8):
+        bank.update(e)
+    outside = NonZeroIndex(pair_index(0, n - 1, n), 1)
+    patch_decoder(monkeypatch, bank, {1}, lambda outcome: outside)
+    assert_same_extraction(bank)
+    assert bank.extract().sample_failures > 0
+
+
+def test_decodes_joining_members_that_are_not_live(monkeypatch):
+    # a false decode in round 0 joins the isolated members 6 and 7: the
+    # pair becomes a component that both loops go on decoding
+    n = 8
+    bank = ForestSketchBank(n, range(n), 0.05, seed=9)
+    for u, v in [(0, 1), (1, 2), (3, 4), (4, 5)]:
+        bank.update(UpdateEvent(u, v, 1))
+    isolated = NonZeroIndex(pair_index(6, 7, n), 1)
+    patch_decoder(monkeypatch, bank, {0}, lambda outcome: isolated)
+    got = bank.extract()
+    assert (6, 7) in got.forest.edges
+    assert_same_extraction(bank)

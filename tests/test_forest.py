@@ -4,6 +4,7 @@ import pytest
 from streamvc import forest as forest_mod
 from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.forest import (
+    MAX_N,
     ForestSketchBank,
     bank_bytes,
     pair_from_index,
@@ -36,7 +37,7 @@ def bank_states_equal(a: ForestSketchBank, b: ForestSketchBank) -> bool:
 
 
 def test_pair_index_bijection():
-    for n in range(2, 13):
+    for n in range(2, 61):
         seen = []
         for u in range(n):
             for v in range(u + 1, n):
@@ -45,6 +46,16 @@ def test_pair_index_bijection():
                 seen.append(idx)
         assert sorted(seen) == list(range(n * (n - 1) // 2))
         assert pair_index(1, 0, n) == pair_index(0, 1, n)
+
+
+def test_pair_from_index_inverts_sampled_indices_up_to_max_n():
+    rng = np.random.default_rng(14)
+    for n in (61, 1000, 65_536, MAX_N - 1, MAX_N):
+        total = n * (n - 1) // 2
+        ends = [0, 1, n - 2, n - 1, total - 2, total - 1]
+        for idx in ends + rng.integers(0, total, size=2000).tolist():
+            u, v = pair_from_index(idx, n)
+            assert 0 <= u < v < n and pair_index(u, v, n) == idx
 
 
 def test_pair_index_validation():
@@ -225,12 +236,15 @@ def test_merged_component_reduces_level0_fingerprints_mod_p():
     The fingerprints are rewritten so that they still sum, mod p, to the
     path's true sum (zero: the path has no outgoing edge). Summed without
     reduction, 16 of them overflow int64, the merged path no longer reads
-    EMPTY, and its decode counts as a failure.
+    EMPTY, and its decode counts as a failure. The edge {18, 19} is a
+    second live component, so extraction goes on past the round that
+    completes the path and decodes the whole path's sum.
     """
-    n, path = 18, list(range(17))
+    n, path = 20, list(range(17))
     bank = ForestSketchBank(n, range(n), 0.01, seed=12)  # vertex 17 stays isolated
     for u, v in zip(path, path[1:]):
         bank.update(UpdateEvent(u, v, 1))
+    bank.update(UpdateEvent(18, 19, 1))
     fps = bank.store.blocks(0)[2]
     for r in range(bank.rounds):
         near_p = [PRIME - 1 - i for i in path[:-1]]
@@ -238,7 +252,7 @@ def test_merged_component_reduces_level0_fingerprints_mod_p():
         fps[path, r, 0] = near_p + [(true_sum - sum(near_p)) % PRIME]
     ext = bank.extract()
     assert ext.sample_failures == 0
-    assert ext.forest == EdgeSet(n, list(zip(path, path[1:])))
+    assert ext.forest == EdgeSet(n, list(zip(path, path[1:])) + [(18, 19)])
 
 
 def test_bank_bytes_are_the_store_nbytes():
