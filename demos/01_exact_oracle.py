@@ -35,8 +35,10 @@ for name, g in [
 print("petersen 3-connected:", is_k_connected(petersen(), 3))
 print("petersen 4-connected:", is_k_connected(petersen(), 4))
 
-# Minimum cuts are read off the max-flow residual. The middle vertex of
-# a path is the unique cut; a 3-connected graph returns None for k=2.
+# Minimum cuts are read off the last search of the max flow, the one back
+# from the sink that found no path: of the pair's minimum separators it
+# gives the one nearest the far vertex. The middle vertex of a path is
+# the unique cut; a 3-connected graph returns None for k=2.
 print("cut of path(3), k=2:", find_vertex_cut(path_graph(3), 2))
 print("cut of K4, k=2:", find_vertex_cut(complete(4), 2))
 

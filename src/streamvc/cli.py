@@ -15,7 +15,9 @@ certify and check share --k (default: the header's k), --seed, --scale-c
 (the forest-count constant C, default TEST_SCALE = 20; the analysis
 constant is --scale-c 200) and --delta. Reports are single JSON objects
 on stdout; exit codes for certify are 0 = k-connected, 1 = not, 2 =
-error (running out of memory included), abort or usage error.
+error (running out of memory included), abort or usage error. certify,
+check and oracle refuse a header n above forest.MAX_N (exit 2) before
+they build anything for it.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from pathlib import Path
 from . import certificate as cert_mod
 from . import instances, streamio
 from .errors import StreamError
+from .forest import check_vertex_count
 from .graph import replay_stream
 from .insertion import InsertionCertifier
 from .oracle import is_k_connected, vertex_connectivity
@@ -70,6 +73,7 @@ def _gen(args) -> int:
 def _read(args):
     """The stream's n, the k to test, its events and a cached replay of its support graph."""
     n, k_file, events = streamio.read_stream(args.stream)
+    check_vertex_count(n)
     support = functools.cache(lambda: replay_stream(events, n).support())
     return n, k_file if args.k is None else args.k, events, support
 
@@ -132,6 +136,7 @@ def _certify(args) -> int:
 
 def _oracle(args) -> int:
     n, _, events = streamio.read_stream(args.stream)
+    check_vertex_count(n)
     g = replay_stream(events, n).support()
     if args.k is not None:
         verdict = is_k_connected(g, args.k)

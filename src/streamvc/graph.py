@@ -149,9 +149,6 @@ class EdgeSet:
     def is_subset_of(self, other: "EdgeSet") -> bool:
         return self.edges <= other.edges
 
-    def copy(self) -> "EdgeSet":
-        return EdgeSet(self.n, self.edges)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EdgeSet)

@@ -41,10 +41,16 @@ class _SplitNetwork:
     pairs a, a^1; arc 2v is the internal arc v_in -> v_out, and every
     edge {u,v} adds u_out -> v_in and v_out -> u_in. A query sends flow
     from s_out to t_in on a copy of the base capacities. The internal
-    arcs of s and t stay in the network but carry no flow and leave the
-    residual cut unchanged: an augmenting path is a shortest residual
-    path from s_out, so it never returns through s_in, and it ends at
-    t_in, so t_out is never entered.
+    arcs of s and t stay in the network but never cross the cut: s_out
+    is the source, which cannot reach the sink once the flow is maximum,
+    and t_in is the sink itself.
+
+    The cut of a maximum flow is read off the flow's last search back
+    from the sink, which found no path: the nodes it reached are the
+    same for every maximum flow (the smallest sink side of a minimum
+    cut; Picard and Queyranne, 1980), so the vertex cut returned is the
+    minimum s-t separator nearest t, the unique one whose t side lies
+    inside the t side of every other.
     """
 
     def __init__(self, adj: list[list[int]]):
@@ -70,6 +76,7 @@ class _SplitNetwork:
         self.to, self.base, self.head = to, base, head
         self.cap = base
         self.source = self.sink = -1
+        self.dist: list[int] = []
 
     def max_flow(self, s: int, t: int, limit: int) -> int:
         """Disjoint s-t paths in the graph, counting stopped at `limit`."""
@@ -92,9 +99,11 @@ class _SplitNetwork:
         """Residual distance to the sink of every node up to the source's.
 
         Searching back from the sink means every arc the augmenting walk
-        follows from the source leads towards the sink.
+        follows from the source leads towards the sink. None when the
+        source is out of reach; self.dist then holds, for every node,
+        its distance if it still reaches the sink and -1 if not.
         """
-        dist = [-1] * self.num_nodes
+        self.dist = dist = [-1] * self.num_nodes
         dist[self.sink] = 0
         queue = deque([self.sink])
         to, cap, head = self.to, self.cap, self.head
@@ -135,28 +144,15 @@ class _SplitNetwork:
         return True
 
     def residual_cut(self) -> set[int]:
-        """Vertex cut of the last query's flow, if it was a maximum flow.
+        """Minimum vertex cut nearest t of the last query's maximum flow.
 
-        X = {v : v_in reachable from the source in the residual network,
-        v_out not}, excluding the query's own s and t.
+        X = {v : v_out reaches the sink in the residual network, v_in
+        not}, read from the last search of max_flow. Defined only after
+        a query whose flow stayed below its limit: only then is the flow
+        maximum and that search one that found no path.
         """
-        seen = [False] * self.num_nodes
-        seen[self.source] = True
-        queue = deque([self.source])
-        to, cap, head = self.to, self.cap, self.head
-        while queue:
-            u = queue.popleft()
-            for a in head[u]:
-                v = to[a]
-                if cap[a] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        ends = (self.source // 2, self.sink // 2)
-        return {
-            v
-            for v in range(self.num_nodes // 2)
-            if v not in ends and seen[2 * v] and not seen[2 * v + 1]
-        }
+        reach = self.dist
+        return {v for v in range(self.num_nodes // 2) if reach[2 * v + 1] >= 0 > reach[2 * v]}
 
 
 def _witness_pairs(adj: list[list[int]]) -> list[tuple[int, int]]:
@@ -203,10 +199,10 @@ def _lowest_witness_flow(
     One network serves every witness pair. Each flow is capped at the
     running minimum, so later pairs stop augmenting once they cannot
     lower it, and the scan stops once the minimum is at most floor. A
-    flow below its cap is a maximum flow, so the residual cut X = {v :
-    v_in reachable, v_out not} of the pair that lowers the minimum is a
-    minimum cut of that pair. (cutoff, None) when no flow falls below
-    cutoff, which includes the complete graph (no witness pairs).
+    flow below its cap is a maximum flow, so the residual cut of the
+    pair that lowers the minimum is a minimum cut of that pair.
+    (cutoff, None) when no flow falls below cutoff, which includes the
+    complete graph (no witness pairs).
     """
     net = _SplitNetwork(adj)
     kappa, cut = cutoff, None
@@ -251,9 +247,11 @@ def is_k_connected(g: EdgeSet, k: int) -> bool:
 def find_vertex_cut(g: EdgeSet, k: int) -> set[int] | None:
     """Minimum vertex cut if connectivity is below k, else None.
 
-    The cut of the witness scan with a running cutoff starting at k. A
-    disconnected graph yields the empty cut; a complete graph below k
-    returns all vertices but one (removal leaves a singleton).
+    The cut of the witness scan with a running cutoff starting at k: of
+    the first witness pair (s, t) whose flow is the minimum, the minimum
+    s-t separator nearest t. A disconnected graph yields the empty cut;
+    a complete graph below k returns all vertices but one (removal
+    leaves a singleton).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -410,6 +410,28 @@ def test_certify_dynamic_n_above_max_n_exit_2(tmp_path, capsys, monkeypatch):
     assert err["error"].startswith("ValueError") and f"exceeds {MAX_N}" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--mode", "offline"],
+        ["certify", "--mode", "insertion"],
+        ["check", "--trials", "1"],
+        ["oracle"],
+        ["oracle", "--k", "2"],
+    ],
+)
+def test_header_n_above_max_n_exit_2_before_allocation(tmp_path, capsys, argv):
+    # refused right after the header is read: no subset mask, adjacency
+    # list or flow network of 10^8 vertices is ever asked for
+    path = tmp_path / "huge.stream"
+    path.write_text("100000000 2\n0 1 +1\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out is None
+    assert err["error"].startswith("ValueError") and f"exceeds {MAX_N}" in err["error"]
+
+
 def test_certify_memory_error_exit_2(tmp_path, capsys, monkeypatch):
     def out_of_memory(self, e):
         raise MemoryError("no room for the validation graph")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -133,24 +135,68 @@ def test_flow_matches_path_packing_random(rng):
 
 
 def test_split_network_reuse_leaks_no_state():
-    # one network answers every ordered pair, in shuffled order: each flow
-    # and each residual cut must be what a fresh network would give
+    # one network answers every ordered pair, in shuffled order and under a
+    # random cap: each flow, and each cut read after a flow below its cap,
+    # must be what a fresh network would give, so a capped query in between
+    # leaves no stale search behind
     rng = np.random.default_rng(1975)
     graphs = [complete(5), cycle(6), star(5), complete_bipartite(2, 4), hypercube(3)]
     graphs += [random_edge_set(7, 0.5, rng) for _ in range(3)]
     for g in graphs:
-        net = _SplitNetwork(g.adjacency())
+        adj = g.adjacency()
+        net = _SplitNetwork(adj)
         pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
         for i in rng.permutation(len(pairs)):
             s, t = pairs[i]
-            flow = net.max_flow(s, t, g.n)
-            assert flow == brute_max_disjoint_paths(g, s, t), (g, s, t)
-            if g.has(s, t):
+            cap = int(rng.integers(0, g.n + 1))
+            flow = net.max_flow(s, t, cap)
+            assert flow == min(brute_max_disjoint_paths(g, s, t), cap), (g, s, t, cap)
+            if g.has(s, t) or flow == cap:
                 continue
             cut = net.residual_cut()
+            fresh = _SplitNetwork(adj)
+            fresh.max_flow(s, t, cap)
+            assert cut == fresh.residual_cut(), (g, s, t, cap)
             assert len(cut) == flow
             parts = component_partition(set(range(g.n)) - cut, g.edges)
             assert not any(s in part and t in part for part in parts)
+
+
+def test_residual_cut_is_nearest_t_on_a_path():
+    # every inner vertex of path(5) separates 0 from 4; the cut read off
+    # the search back from the sink is the one next to t
+    net = _SplitNetwork(path_graph(5).adjacency())
+    assert net.max_flow(0, 4, 5) == 1
+    assert net.residual_cut() == {3}
+
+
+def _t_side(g, cut, t):
+    return next(part for part in component_partition(set(range(g.n)) - cut, g.edges) if t in part)
+
+
+def test_residual_cut_is_the_minimum_separator_nearest_t(rng):
+    # brute force over every separator: the cut is a minimum s-t separator,
+    # and t's side after removing it lies inside t's side for every other
+    # minimum separator (the unique t-closest one)
+    for _ in range(40):
+        n = int(rng.integers(4, 9))
+        g = random_edge_set(n, 0.45, rng)
+        net = _SplitNetwork(g.adjacency())
+        for s in range(n):
+            for t in range(n):
+                if s == t or g.has(s, t):
+                    continue
+                flow = net.max_flow(s, t, n)
+                cut = net.residual_cut()
+                assert len(cut) == flow == brute_min_st_separator(g, s, t)
+                assert s not in cut and t not in cut
+                side = _t_side(g, cut, t)
+                assert s not in side
+                others = [v for v in range(n) if v not in (s, t)]
+                for sep in map(set, combinations(others, flow)):
+                    other = _t_side(g, sep, t)
+                    if s not in other:
+                        assert side <= other, (g, s, t, cut, sep)
 
 
 def test_menger_duality_brute(rng):
