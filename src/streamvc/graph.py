@@ -8,6 +8,7 @@ vertex connectivity).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidVertexError, NegativeMultiplicityError, SelfLoopError
@@ -36,14 +37,21 @@ def pair_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+@dataclass
 class MultiGraph:
-    """Materialized multigraph with per-pair multiplicities."""
+    """Materialized multigraph with per-pair multiplicities.
+
+    Equal to another MultiGraph with the same n and multiplicities.
+    """
+
+    n: int
+    mult: dict[tuple[int, int], int]
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        self.mult: dict[tuple[int, int], int] = {}
+        self.mult = {}
 
     def apply(self, e: UpdateEvent) -> "MultiGraph":
         """Apply one update in place; multiplicities must stay >= 0."""
@@ -70,13 +78,6 @@ class MultiGraph:
         g.mult = dict(self.mult)
         return g
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiGraph)
-            and self.n == other.n
-            and self.mult == other.mult
-        )
-
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={len(self.mult)})"
 
@@ -89,14 +90,21 @@ def replay_stream(events: Iterable[UpdateEvent], n: int) -> MultiGraph:
     return g
 
 
+@dataclass
 class EdgeSet:
-    """Simple undirected graph on vertices 0..n-1, stored as sorted pairs."""
+    """Simple undirected graph on vertices 0..n-1, stored as sorted pairs.
+
+    Equal to another EdgeSet with the same n and edges.
+    """
+
+    n: int
+    edges: set[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        self.edges: set[tuple[int, int]] = set()
+        self.edges = set()
         for u, v in edges:
             self.add(u, v)
 
@@ -148,13 +156,6 @@ class EdgeSet:
 
     def is_subset_of(self, other: "EdgeSet") -> bool:
         return self.edges <= other.edges
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EdgeSet)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
 
     def __repr__(self) -> str:
         return f"EdgeSet(n={self.n}, edges={len(self.edges)})"

@@ -31,6 +31,10 @@ repetitions are a prefix of those of more (sketch_seeds), so a decode
 that succeeds within the first R repetitions returns the same coordinate
 under any larger repetition count.
 
+repetition_count computes ln(1/delta) as -ln(delta), so a subnormal
+budget, whose reciprocal overflows, still sizes its sketch (at least one
+repetition); a budget that is not positive is refused.
+
 Updates, merges and therefore the final state are linear in the update
 stream: any reordering or insert/delete cancellation produces the same
 cells bit for bit.
@@ -53,7 +57,9 @@ streamvc.forest.
 """
 from __future__ import annotations
 
+import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,21 +76,12 @@ PRIME = (1 << 61) - 1
 REP_SCALE = 2.0
 
 
+@dataclass(slots=True)
 class NonZeroIndex:
     """Successful sample: a coordinate from the support and its sign."""
 
-    __slots__ = ("index", "sign")
-
-    def __init__(self, index: int, sign: int):
-        self.index = index
-        self.sign = sign
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NonZeroIndex)
-            and self.index == other.index
-            and self.sign == other.sign
-        )
+    index: int
+    sign: int
 
     def __repr__(self):
         return f"NonZeroIndex({self.index}, {self.sign:+d})"
@@ -110,7 +107,15 @@ def level_count(universe: int) -> int:
 
 
 def repetition_count(delta: float) -> int:
-    return max(1, math.ceil(REP_SCALE * math.log(1.0 / delta)))
+    """Repetitions for a sketch failure budget: ceil(REP_SCALE * ln(1/delta)), at least 1.
+
+    Computed as -ln(delta), so a subnormal budget, whose reciprocal
+    overflows to infinity, still gets a finite count. A budget that is not
+    positive (one split so finely that it underflowed to 0) is refused.
+    """
+    if not delta > 0:
+        raise ValueError(f"sketch failure budget must be positive, got {delta}")
+    return max(1, math.ceil(REP_SCALE * -math.log(delta)))
 
 
 def sketch_seeds(seed: int, reps: int) -> tuple[np.ndarray, int, int]:
@@ -184,17 +189,9 @@ class L0Sketch:
 
     # -- merge ---------------------------------------------------------
 
-    def compatible(self, other: "L0Sketch") -> bool:
-        return (
-            self.universe == other.universe
-            and self.reps == other.reps
-            and self.levels == other.levels
-            and self.seed == other.seed
-        )
-
     def merge(self, other: "L0Sketch") -> "L0Sketch":
         """Cell-wise sum; equals the sketch of the summed vectors."""
-        if not self.compatible(other):
+        if (self.universe, self.reps, self.seed) != (other.universe, other.reps, other.seed):
             raise SeedMismatchError("sketches differ in seeds or dimensions")
         out = self.copy()
         out.counts += other.counts
@@ -203,15 +200,8 @@ class L0Sketch:
         return out
 
     def copy(self) -> "L0Sketch":
-        out = object.__new__(L0Sketch)
-        out.universe = self.universe
-        out.delta = self.delta
-        out.seed = self.seed
-        out.levels = self.levels
-        out.reps = self.reps
-        out.rep_seeds = self.rep_seeds
-        out._subsample_seed = self._subsample_seed
-        out.z = self.z
+        """A sketch with its own cells and the same seeds and dimensions."""
+        out = copy.copy(self)
         out.counts = self.counts.copy()
         out.index_sums = self.index_sums.copy()
         out.fingerprints = self.fingerprints.copy()

@@ -2,8 +2,9 @@
 
 First non-comment line is the header "n k"; every following data line is
 "u v d" with d in {+1, -1}. '#' starts a comment, blank lines are
-ignored. Lines end at "\n", "\r\n" or "\r"; the last may lack one. The
-format is diffable and trivial to generate by hand.
+ignored. Lines end at "\n", "\r\n" or "\r"; the last may lack one. A
+leading UTF-8 byte-order mark is skipped. The format is diffable and
+trivial to generate by hand.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ def read_stream(path) -> tuple[int, int, list[UpdateEvent]]:
     """The header's n and k and the list of events, read one line at a time."""
     n = k = None
     events: list[UpdateEvent] = []
-    with open(path, encoding="utf-8") as lines:
+    with open(path, encoding="utf-8-sig") as lines:
         for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

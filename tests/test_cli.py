@@ -81,6 +81,16 @@ def test_stream_form_feed_is_not_a_line_break(tmp_path):
     assert err.value.line == 2
 
 
+def test_stream_utf8_bom_is_skipped(tmp_path):
+    body = b"# comment\n5 2\n0 1 +1\n1 2 +1\n0 1 -1\n"
+    plain, bom = tmp_path / "plain.stream", tmp_path / "bom.stream"
+    plain.write_bytes(body)
+    bom.write_bytes(b"\xef\xbb\xbf" + body)
+    assert read_stream(bom) == read_stream(plain)
+    bom.write_bytes(b"\xef\xbb\xbf5 2\n0 1 +1\n")
+    assert read_stream(bom) == (5, 2, [UpdateEvent(0, 1, 1)])
+
+
 def test_gen_and_certify_complete(tmp_path, capsys):
     path = tmp_path / "k8.stream"
     code, out, _ = run_cli(
@@ -335,6 +345,28 @@ def test_certify_non_finite_scale_exit_2(tmp_path, capsys, scale_c):
         )
         assert code == 2 and out is None
         assert err["error"].startswith("ValueError")
+
+
+def test_certify_subnormal_delta_sizes_its_sketch(tmp_path, capsys):
+    # 1/delta overflows to infinity; the repetition count must still be finite
+    path = tmp_path / "k5.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    code, report, err = run_cli(
+        capsys, "certify", str(path), "--mode", "dynamic", "--scale-c", "2", "--delta", "1e-320"
+    )
+    assert code == 0 and err is None
+    assert report["verdict"] is True and report["params"]["delta"] == 1e-320
+
+
+def test_certify_delta_underflowing_per_sketch_exit_2(tmp_path, capsys):
+    # delta / (rounds * members) rounds to 0.0: a budget no repetition count meets
+    path = tmp_path / "k5.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    code, out, err = run_cli(
+        capsys, "certify", str(path), "--mode", "dynamic", "--scale-c", "2", "--delta", "5e-324"
+    )
+    assert code == 2 and out is None
+    assert err["error"].startswith("ValueError") and "positive" in err["error"]
 
 
 def test_certify_huge_scale_stops_at_the_space_cap(tmp_path, capsys):

@@ -97,6 +97,30 @@ def test_support_of_replay_matches_final_multiplicities():
     assert g.support().edges == {pair for pair, m in g.mult.items() if m >= 1}
 
 
+def test_edge_set_equality_is_by_n_and_edges():
+    g = EdgeSet(4, [(0, 1), (2, 3), (1, 2)])
+    assert g == EdgeSet(4, [(2, 1), (3, 2), (1, 0)])
+    assert g != EdgeSet(5, [(0, 1), (2, 3), (1, 2)])
+    assert g != EdgeSet(4, [(0, 1), (2, 3)])
+    assert g != EdgeSet(4, [(0, 1), (2, 3), (0, 2)])
+    assert g != replay_stream([UpdateEvent(u, v, 1) for u, v in g], 4)
+    assert g != g.edges and g != (4, g.edges)
+    with pytest.raises(TypeError):
+        hash(g)
+
+
+def test_multigraph_equality_is_by_n_and_multiplicities():
+    events = [UpdateEvent(0, 1, 1), UpdateEvent(1, 2, 1), UpdateEvent(0, 1, 1)]
+    g = replay_stream(events, 3)
+    assert g == replay_stream(events[::-1], 3)
+    assert g != replay_stream(events, 4)
+    assert g != replay_stream(events[1:], 3)
+    assert g != replay_stream(events[:2] + [UpdateEvent(0, 2, 1)], 3)
+    assert g != g.support() and g != g.mult
+    with pytest.raises(TypeError):
+        hash(g)
+
+
 def test_edge_set_normalizes_and_checks():
     es = EdgeSet(4)
     es.add(3, 1)

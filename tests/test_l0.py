@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from streamvc.l0 import (
     EMPTY,
     FAIL,
     PRIME,
+    REP_SCALE,
     L0Sketch,
     NonZeroIndex,
     block_cells,
@@ -145,6 +148,37 @@ def test_merge_seed_mismatch():
         L0Sketch(16, 0.05, seed=1).merge(L0Sketch(16, 0.05, seed=2))
     with pytest.raises(SeedMismatchError):
         L0Sketch(16, 0.05, seed=1).merge(L0Sketch(32, 0.05, seed=1))
+
+
+def test_merge_repetition_mismatch():
+    # same universe and seed, different repetition counts
+    with pytest.raises(SeedMismatchError):
+        L0Sketch(16, 0.05, seed=1).merge(L0Sketch(16, 0.3, seed=1))
+
+
+def test_copy_is_independent_and_shares_seeds():
+    s = L0Sketch(32, 0.05, seed=4).update(3, 1)
+    before = [a.copy() for a in (s.counts, s.index_sums, s.fingerprints)]
+    c = s.copy()
+    c.update(9, 1).update(3, -1)
+    after = (s.counts, s.index_sums, s.fingerprints)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert s.sample() == NonZeroIndex(3, 1) and c.sample() == NonZeroIndex(9, 1)
+    assert c.rep_seeds is s.rep_seeds and c.z == s.z
+    assert (c.universe, c.delta, c.seed, c.levels, c.reps) == (
+        s.universe, s.delta, s.seed, s.levels, s.reps
+    )
+    assert states_equal(c.merge(L0Sketch(32, 0.05, seed=4).update(9, -1)), s.copy().update(3, -1))
+
+
+def test_nonzero_index_record():
+    out = NonZeroIndex(42, 1)
+    assert repr(out) == "NonZeroIndex(42, +1)" and repr(NonZeroIndex(7, -1)) == "NonZeroIndex(7, -1)"
+    assert out == NonZeroIndex(42, 1)
+    assert out != NonZeroIndex(42, -1) and out != NonZeroIndex(41, 1)
+    assert out != (42, 1)
+    with pytest.raises(TypeError):
+        hash(out)
 
 
 def test_soundness_large_universe():
@@ -302,6 +336,20 @@ def test_repetition_count_meets_the_decode_bound(delta):
     # every repetition decodes with probability >= 2/3, so R of them all fail
     # with probability <= (1/3)^R (see the l0 module docstring)
     assert (1 / 3) ** repetition_count(delta) <= delta
+
+
+def test_repetition_count_is_ceil_of_scaled_log_inverse():
+    for delta in np.geomspace(1e-300, 0.5, 4000).tolist() + [0.5, 0.1, 0.05, 1e-2, 1e-8]:
+        assert repetition_count(delta) == max(1, math.ceil(REP_SCALE * math.log(1 / delta)))
+    assert repetition_count(0.99) == 1
+
+
+def test_repetition_count_of_tiny_budgets():
+    # 1/delta overflows below about 5.6e-309; -ln(delta) stays finite
+    assert repetition_count(5e-324) == 1489  # ceil(2 * 744.44)
+    for delta in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            repetition_count(delta)
 
 
 def test_per_repetition_decode_rate_is_above_the_bound():
