@@ -5,12 +5,17 @@ vertex-disjoint paths through the retained set. The result F is an exact
 certificate: F is k-connected iff the streamed graph is, F never grows
 past 2kn edges, and F contains no (k+1)-connected subgraph (the last
 kept edge of such a subgraph would have had k disjoint paths already).
+
+The state is F plus its vertex-split flow network (`oracle._SplitNetwork`).
+The network is built at the first offer, so a certifier that never sees
+an edge allocates nothing per vertex. Each kept edge is added to it in
+place, so an offer of a new edge runs one capped flow and rebuilds nothing.
 """
 from __future__ import annotations
 
 from .errors import InsertionOnlyViolationError
 from .graph import EdgeSet, UpdateEvent, validate_event
-from .oracle import max_vertex_disjoint_paths
+from .oracle import _SplitNetwork, max_vertex_disjoint_paths
 
 
 class InsertionCertifier:
@@ -25,6 +30,7 @@ class InsertionCertifier:
         self.k = k
         self.retained = EdgeSet(n)
         self.offers = 0
+        self._net: _SplitNetwork | None = None
 
     def offer(self, u: int, v: int) -> bool:
         """Process one arriving edge; returns whether it was kept.
@@ -39,9 +45,12 @@ class InsertionCertifier:
         self.offers += 1
         if self.retained.has(u, v):
             return False
-        kept = max_vertex_disjoint_paths(self.retained, u, v, cap=self.k) < self.k
+        if self._net is None:
+            self._net = _SplitNetwork([()] * self.n)
+        kept = max_vertex_disjoint_paths(self._net, u, v, cap=self.k) < self.k
         if kept:
             self.retained.add(u, v)
+            self._net.add_edge(u, v)
             assert len(self.retained) <= 2 * self.k * self.n, "retained-set bound broken"
         return kept
 

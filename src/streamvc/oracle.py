@@ -8,7 +8,12 @@ a large capacity so minimum cuts consist of internal arcs only, which is
 what makes vertex-cut extraction from residual reachability exact. One
 network is built per graph and queried for any (s, t) from a fresh copy
 of its base capacities; a direct {s,t} edge is lowered to a unit arc for
-that query only, so it contributes exactly one path.
+that query only, so it contributes exactly one path. A network can also
+grow by one edge at a time between queries, which is how the insertion
+certifier keeps one for its growing retained set. Each flow phase
+searches back from the sink and stops as soon as it labels the source;
+only the last search of a flow, which finds no path, runs to exhaustion,
+and the minimum cut is read off it.
 
 Global connectivity is the minimum of the pairwise values over
 non-adjacent pairs (n-1 for complete graphs), and it suffices to take
@@ -26,6 +31,7 @@ test suite, and against networkx.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import InvalidVertexError
@@ -43,40 +49,51 @@ class _SplitNetwork:
     from s_out to t_in on a copy of the base capacities. The internal
     arcs of s and t stay in the network but never cross the cut: s_out
     is the source, which cannot reach the sink once the flow is maximum,
-    and t_in is the sink itself.
+    and t_in is the sink itself. The constructor adds every edge through
+    add_edge, and add_edge can grow the network between queries.
 
-    The cut of a maximum flow is read off the flow's last search back
-    from the sink, which found no path: the nodes it reached are the
+    Each search back from the sink stops once it labels the source. The
+    cut of a maximum flow is read off the flow's last search, which found
+    no path and so ran to exhaustion: the nodes it reached are the
     same for every maximum flow (the smallest sink side of a minimum
     cut; Picard and Queyranne, 1980), so the vertex cut returned is the
     minimum s-t separator nearest t, the unique one whose t side lies
     inside the t side of every other.
     """
 
-    def __init__(self, adj: list[list[int]]):
+    def __init__(self, adj: Sequence[Sequence[int]]):
         n = len(adj)
+        self.n = n
         self.num_nodes = 2 * n
-        to: list[int] = []
-        base: list[int] = []
-        head: list[list[int]] = [[] for _ in range(2 * n)]
+        self.to: list[int] = []
+        self.base: list[int] = []
+        self.head: list[list[int]] = [[] for _ in range(2 * n)]
         for v in range(n):
-            head[2 * v].append(2 * v)
-            head[2 * v + 1].append(2 * v + 1)
-            to += (2 * v + 1, 2 * v)
-            base += (1, 0)
+            self._add_arc(2 * v, 2 * v + 1, 1)
         for u in range(n):
-            out = 2 * u + 1
-            arcs = head[out]
             for v in adj[u]:
-                a = len(to)
-                arcs.append(a)
-                head[2 * v].append(a + 1)
-                to += (2 * v, out)
-                base += (_BIG, 0)
-        self.to, self.base, self.head = to, base, head
-        self.cap = base
+                if u < v:
+                    self.add_edge(u, v)
+        self.cap = self.base
         self.source = self.sink = -1
         self.dist: list[int] = []
+
+    def _add_arc(self, x: int, y: int, c: int) -> None:
+        """Append arc x -> y of capacity c and its empty reverse y -> x."""
+        a = len(self.to)
+        self.head[x].append(a)
+        self.head[y].append(a + 1)
+        self.to += (y, x)
+        self.base += (c, 0)
+
+    def add_edge(self, u: int, v: int) -> None:
+        """Add edge {u,v}: the arcs u_out -> v_in and v_out -> u_in.
+
+        Later queries see it; a query's flow is never carried over, since
+        each starts from a fresh copy of the base capacities.
+        """
+        self._add_arc(2 * u + 1, 2 * v, _BIG)
+        self._add_arc(2 * v + 1, 2 * u, _BIG)
 
     def max_flow(self, s: int, t: int, limit: int) -> int:
         """Disjoint s-t paths in the graph, counting stopped at `limit`."""
@@ -96,25 +113,31 @@ class _SplitNetwork:
         return flow
 
     def _distances(self) -> list[int] | None:
-        """Residual distance to the sink of every node up to the source's.
+        """Residual distance to the sink of every node nearer to it than the source.
 
         Searching back from the sink means every arc the augmenting walk
-        follows from the source leads towards the sink. None when the
-        source is out of reach; self.dist then holds, for every node,
-        its distance if it still reaches the sink and -1 if not.
+        follows from the source leads towards the sink. The search stops
+        as soon as it labels the source: every node one level closer to
+        the sink is labelled by then, and the walk steps only to those,
+        so the rest of the source's level is never needed. None when the
+        source is out of reach; that last search ran to exhaustion, so
+        self.dist then holds, for every node, its distance if it still
+        reaches the sink and -1 if not, which is what residual_cut reads.
         """
         self.dist = dist = [-1] * self.num_nodes
+        source = self.source
         dist[self.sink] = 0
         queue = deque([self.sink])
         to, cap, head = self.to, self.cap, self.head
         while queue:
             u = queue.popleft()
-            if u == self.source:
-                return dist
+            d = dist[u] + 1
             for a in head[u]:
                 v = to[a]
                 if dist[v] < 0 and cap[a ^ 1] > 0:
-                    dist[v] = dist[u] + 1
+                    dist[v] = d
+                    if v == source:
+                        return dist
                     queue.append(v)
         return None
 
@@ -174,12 +197,14 @@ def _witness_pairs(adj: list[list[int]]) -> list[tuple[int, int]]:
 
 
 def max_vertex_disjoint_paths(
-    g: EdgeSet, s: int, t: int, cap: int | None = None
+    g: EdgeSet | _SplitNetwork, s: int, t: int, cap: int | None = None
 ) -> int:
     """Maximum number of internally vertex-disjoint s-t paths.
 
     A direct {s,t} edge counts as one path. With `cap` set, counting stops
-    early and the returned value is min(true value, cap).
+    early and the returned value is min(true value, cap). `g` is a graph,
+    or a split network already built for it (a caller that queries a
+    growing graph keeps one and adds each edge with add_edge).
     """
     if not (0 <= s < g.n) or not (0 <= t < g.n):
         raise InvalidVertexError(f"vertices ({s},{t}) not in 0..{g.n - 1}")
@@ -188,7 +213,8 @@ def max_vertex_disjoint_paths(
     limit = g.n if cap is None else max(0, min(cap, g.n))
     if limit == 0:
         return 0
-    return _SplitNetwork(g.adjacency()).max_flow(s, t, limit)
+    net = g if isinstance(g, _SplitNetwork) else _SplitNetwork(g.adjacency())
+    return net.max_flow(s, t, limit)
 
 
 def _lowest_witness_flow(

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from streamvc.errors import InsertionOnlyViolationError, SelfLoopError
@@ -125,3 +128,42 @@ def test_retained_edges_have_few_paths_when_added(rng):
             assert max_vertex_disjoint_paths(snapshot, u, v, cap=k) < k
             snapshot.add(u, v)
     assert ins.finalize() == snapshot
+
+
+def test_every_offer_matches_a_flow_on_a_fresh_snapshot(rng):
+    # the certifier's network grows in place; each verdict, kept or not,
+    # must be what a flow on a network built afresh from F gives. Streams
+    # repeat edges, in either orientation, before and after their first offer
+    for _ in range(200):
+        n = int(rng.integers(2, 25))
+        k = int(rng.integers(1, 6))
+        edges = random_edge_set(n, float(rng.random()), rng).sorted_edges()
+        if not edges:
+            continue
+        again = [edges[i] for i in rng.integers(0, len(edges), size=len(edges) // 2 + 1)]
+        offers = edges + [(v, u) if rng.random() < 0.5 else (u, v) for u, v in again]
+        offers = [offers[i] for i in rng.permutation(len(offers))]
+        ins = InsertionCertifier(n, k)
+        snapshot = EdgeSet(n)
+        for u, v in offers:
+            want = not snapshot.has(u, v) and (
+                max_vertex_disjoint_paths(EdgeSet(n, snapshot.edges), u, v, cap=k) < k
+            )
+            assert ins.offer(u, v) == want, (n, k, u, v)
+            if want:
+                snapshot.add(u, v)
+        assert ins.finalize() == snapshot
+
+
+def test_construction_allocates_nothing_per_vertex():
+    # the split network is built at the first offer, not before: a huge n
+    # must cost no time or memory until an edge arrives
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    ins = InsertionCertifier(10**7, 3)
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 1 << 16
+    assert len(ins.finalize()) == 0
