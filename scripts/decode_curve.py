@@ -11,7 +11,7 @@ its levels >= 1 in order) passes the one-sparse test, and the first such
 cell is the level it decodes at. Prints one JSON object:
 
 - levels: the level count of every sketch, ceil(log2 U) + 2;
-- reps: the least and most repetitions of any bank;
+- reps: the repetitions of every sketch, one count for every bank;
 - decodes / failures: components decoded, and those no repetition decodes;
 - rep_success: the per-repetition decode rate pooled over every
   repetition of every decode. This is the number that sizes
@@ -63,12 +63,11 @@ def main(argv=None) -> None:
 
     reads: list[np.ndarray] = []
     decode = forest.sample_cells
-    levels = certifier.store.levels
+    levels, reps = certifier.store.levels, certifier.store.reps
 
     def observed(counts, index_sums, fingerprints, z, universe):
         outcome = decode(counts, index_sums, fingerprints, z, universe)
         if outcome is not EMPTY:
-            reps = (len(counts) - 1) // (levels - 1)  # len(counts) is block_cells(reps, levels)
             reads.append(repetition_levels(counts, index_sums, fingerprints, reps, z, universe))
         return outcome
 
@@ -90,7 +89,7 @@ def main(argv=None) -> None:
         "k": args.k,
         "r": params.num_forests,
         "levels": levels,
-        "reps": [int(certifier.store.reps.min()), int(certifier.store.reps.max())],
+        "reps": reps,
         "decodes": len(reads),
         "failures": int(np.sum(share == 0)),
         "forest_failures": certificate.forest_failures,

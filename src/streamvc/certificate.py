@@ -299,12 +299,13 @@ class StreamCertifier:
 
     An n above forest.MAX_N, which the store cannot take, and a forest
     count above max_forests(n) (as the offline builder does) are rejected
-    before any subset is sampled. The measured byte footprint,
-    the sum of the banks' bank_bytes, is what the store allocates and a
-    pure function of the parameters, so the space cap is checked before
-    any cell is allocated, block by block while the subsets are sampled:
-    set-up stops at the first block whose running total exceeds it.
-    Without an explicit cap the cap is the host's physical memory
+    before any subset is sampled. The measured byte footprint, the sum of
+    the banks' bank_bytes (one _slot column per bank and one fixed share
+    per member, since every bank has the same block width), is what the
+    store allocates and a pure function of the parameters, so the space
+    cap is checked before any cell is allocated, block by block while
+    the subsets are sampled: set-up stops at the first block whose
+    running total exceeds it. Without an explicit cap the cap is the host's physical memory
     (physical_memory_bytes): the host's RAM, not a container's or
     cgroup's memory limit, and no cap where the OS does not report it.
 
@@ -323,16 +324,16 @@ class StreamCertifier:
         _check_forest_count(params)
         if space_cap_bytes is None:
             space_cap_bytes = physical_memory_bytes()
+        # bank_bytes is affine in the member count: a _slot column plus each member's cells
+        slot_bytes = bank_bytes(n, 0, delta)
+        member_bytes = bank_bytes(n, 1, delta) - slot_bytes
         blocks: list[np.ndarray] = []
         self._subset_seeds: list[int] = []
         self._sketch_bytes = 0
         for seeds, masks in _subset_blocks(params):
             blocks.append(masks)
             self._subset_seeds += seeds
-            sizes, banks = np.unique(masks.sum(axis=1), return_counts=True)
-            self._sketch_bytes += sum(
-                b * bank_bytes(n, m, delta) for m, b in zip(sizes.tolist(), banks.tolist())
-            )
+            self._sketch_bytes += int(masks.sum()) * member_bytes + len(masks) * slot_bytes
             if space_cap_bytes is not None and self.measured_bytes() > space_cap_bytes:
                 raise SpaceExceededError(
                     f"sketch state exceeds cap {space_cap_bytes}: the first "

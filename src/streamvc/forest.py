@@ -16,50 +16,60 @@ int64 fingerprints. A count is a signed sum of live edge multiplicities,
 so the certifier keeps their total below 2^31 (StreamCertifier.update);
 an index sum is at most that total times a pair index below n^2 / 2, so
 the store takes n <= MAX_N = 92 681 and the product stays below 2^63.
-Fingerprints are residues mod p = 2^61 - 1. A bank is a row of the
-store: its members, its repetition count and the offset of its one
-contiguous run of cells, laid out [member, round, cell]. The block of one
-(member, round) is the level-0 cell followed by each repetition's levels
->= 1 in turn, 1 + reps * (levels - 1) cells in all (l0.to_block): level 0
-admits every coordinate, so it is the same in every repetition and is
-kept once. The repetition count depends only on the number of members,
-so the store works it out once per distinct subset size and lays out
-every bank's offset with one cumsum; the store is ragged and holds no
-padding.
+Fingerprints are residues mod p = 2^61 - 1. Every sketch of the store has
+the same repetition count reps, a function of n and delta alone
+(sketch_delta), so every (member, round) block has the same width: the
+level-0 cell followed by each repetition's levels >= 1 in turn,
+1 + reps * (levels - 1) cells in all (l0.to_block). Level 0 admits every
+coordinate, so it is the same in every repetition and is kept once. A
+bank is a row of the store: its members and the offset of its one
+contiguous run of cells, laid out [member, round, cell]; a member's
+cells take one fixed stride, so the offsets are the cumsum of the member
+counts times that stride, and the store holds no padding.
 ForestSketchBank is a view of one row: built directly, it makes a store
 that holds just that bank.
 
-Bytes. A bank costs what the store allocates for it (bank_shape): its
-cells, at the 20 bytes of one cell in the store's CELL_DTYPES, plus its
-column of the _slot membership table, n entries of SLOT_DTYPE. The sum
-over the banks is exactly the nbytes of the store's four arrays, so a cap
-on that sum, checked before the store exists, caps what it allocates.
+Bytes. A bank costs what the store allocates for it (bank_bytes): its
+cells, at the 20 bytes of one cell in CELL_DTYPES, plus its column of
+the _slot membership table, n entries of SLOT_DTYPE. That is affine in
+the member count, so the sum over the banks is the total member count
+times one member's cells plus one _slot column per bank, exactly the
+nbytes of the store's four arrays: a cap on that sum, checked before
+the store exists, caps what it allocates.
 
 Randomness. The store owns one seed and derives one sketch battery per
-round, sketch_seeds(derive_seed(seed, "round", r), max_reps): repetition
-seeds, a subsampling seed and a fingerprint base z. Every bank uses the
-first `reps` repetition seeds of that battery, which is exactly what
-L0Sketch(universe, sketch_delta, round_seed) derives, so the cells of one
-(bank, member, round) equal to_block of that reference sketch fed the
-member's signed incidence updates, and the block of a bank with fewer
-repetitions is a prefix of the block of a bank with more. Sharing a
-battery across banks is sound: a bank's failure bound is a union bound
-over its own samples and never uses independence between banks, and
-each round's battery is fresh, so the components that earlier rounds
-formed are independent of it. What sharing gives up is independence
-between banks' failures: banks with the same members hold identical
-cells and fail together, so a second bank over the same member set is
-no second attempt (the certifier builds one bank for k = 1, where every
-subset is the whole vertex set).
+round, sketch_seeds(derive_seed(seed, "round", r), reps): repetition
+seeds, a subsampling seed and a fingerprint base z. That is exactly what
+L0Sketch(universe, sketch_delta(n, delta), round_seed) derives, so the
+cells of one (bank, member, round) equal to_block of that reference
+sketch fed the member's signed incidence updates.
+A bank's failure bound counts the samples an extraction can draw before
+its first FAIL. Consider an extraction in which every sample so far
+succeeded. A component whose cut
+is empty sums to an all-zero block (internal edges cancel), so it
+decodes EMPTY every time and can never FAIL. Every other component
+decodes an edge into another component with a nonempty cut and joins it,
+so the c_t components with a nonempty cut before round t become at most
+c_t / 2 after it. Starting from at most m live members, a bank therefore
+draws fewer than 2m <= 2n non-EMPTY samples before its first failure,
+and by a union bound over them P(the bank has any FAIL) <= (2m - 1) *
+(1/3)^reps < delta, with (1/3)^reps <= delta / (2n) (l0.repetition_count).
+The union bound conditions cleanly on the history because each round's
+battery is fresh: the components earlier rounds formed are independent
+of it. Sharing a battery across banks is sound too: the bound is over a
+bank's own samples and never uses independence between banks. What
+sharing gives up is independence between banks' failures: banks with
+the same members hold identical cells and fail together, so a second
+bank over the same member set is no second attempt (the certifier builds
+one bank for k = 1, where every subset is the whole vertex set).
 
 An event is folded into all the banks holding both endpoints in one
 vectorized pass: one hash over [round, rep], one z^index per round, one
-block of reached cells per round, whose prefix gives the pattern of cell
-offsets of each distinct repetition count, and one fancy-indexed add per
-field over both endpoints. Extraction reads the level-0 cells once per
-call to find the live members, those whose level-0 cell is nonzero in
-some round; a member that is not live samples EMPTY in every round and is
-never decoded. The live members' components persist across rounds, each
+pattern of the reached cells' offsets within a member's rounds, and one
+fancy-indexed add per field over both endpoints of every hit bank.
+Extraction reads the level-0 cells once per call to find the live
+members, those whose level-0 cell is nonzero in some round; a member
+that is not live samples EMPTY in every round and is never decoded. The live members' components persist across rounds, each
 union moving the old root's member positions to the new root, and a
 component is summed once per round rather than once per repetition.
 Extraction stops once at most one live component is left, or after a
@@ -67,7 +77,6 @@ round in which every decode is EMPTY.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +100,7 @@ from .l0 import (
 from .seeds import derive_seed
 
 # what SketchStore allocates: one array per cell field (count, index sum,
-# fingerprint) and the _slot table; bank_shape charges the same dtypes
+# fingerprint) and the _slot table; bank_bytes charges the same dtypes
 CELL_DTYPES = (np.int32, np.int64, np.int64)
 SLOT_DTYPE = np.int64
 # largest n the store takes: pair indices stay below n^2 / 2 and counts
@@ -137,36 +146,28 @@ def pair_universe(n: int) -> int:
     return max(1, n * (n - 1) // 2)
 
 
-def sketch_delta(n: int, member_count: int, delta: float) -> float:
-    """Per-sketch failure budget of a bank.
+def sketch_delta(n: int, delta: float) -> float:
+    """Per-sketch failure budget of every bank of an n-vertex store.
 
-    The bank delta is split over the at most rounds * |members| samples
-    an extraction can draw (union bound).
+    An extraction decodes fewer than 2n non-EMPTY samples before its first
+    FAIL (module docstring, Randomness), so delta / (2n) per sample keeps
+    a bank's chance of any FAIL below delta (union bound).
     """
-    return min(0.5, delta / max(1, round_count(n) * member_count))
-
-
-@functools.cache
-def bank_shape(n: int, member_count: int, delta: float) -> tuple[int, int]:
-    """(repetitions, bytes) of a bank with member_count members.
-
-    The repetitions are l0.repetition_count of the bank's sketch_delta,
-    ceil(REP_SCALE * ln(1/sketch delta)) (the l0 module docstring gives
-    the bound behind REP_SCALE). The bytes are what SketchStore allocates
-    for the bank: member_count * rounds blocks of cells at 20 bytes a cell
-    in CELL_DTYPES, plus the bank's column of the _slot table. A pure
-    function of its parameters, memoized so that the space-cap check and
-    the store's layout share one computation per distinct subset size.
-    """
-    reps = repetition_count(sketch_delta(n, member_count, delta))
-    cells = member_count * round_count(n) * block_cells(reps, level_count(pair_universe(n)))
-    cell_bytes = sum(np.dtype(d).itemsize for d in CELL_DTYPES)
-    return reps, cells * cell_bytes + n * np.dtype(SLOT_DTYPE).itemsize
+    return delta / (2 * n)
 
 
 def bank_bytes(n: int, member_count: int, delta: float) -> int:
-    """Bytes SketchStore allocates for a bank, a pure function of its parameters."""
-    return bank_shape(n, member_count, delta)[1]
+    """Bytes SketchStore allocates for a bank, a pure function of its parameters.
+
+    member_count * rounds blocks of block_cells(reps, levels) cells at the
+    20 bytes of one cell in CELL_DTYPES, plus the bank's column of the
+    _slot table, n entries of SLOT_DTYPE. Affine in member_count: every
+    bank of an n-vertex store has the same reps.
+    """
+    reps = repetition_count(sketch_delta(n, delta))
+    cells = member_count * round_count(n) * block_cells(reps, level_count(pair_universe(n)))
+    cell_bytes = sum(np.dtype(d).itemsize for d in CELL_DTYPES)
+    return cells * cell_bytes + n * np.dtype(SLOT_DTYPE).itemsize
 
 
 @dataclass
@@ -292,8 +293,7 @@ class ForestSketchBank:
         pos = store._slot[vertex, self.index]
         if pos < 0:
             raise ValueError(f"vertex {vertex} is not a member of the bank")
-        delta = sketch_delta(store.n, int(store.sizes[self.index]), store.delta)
-        sk = L0Sketch(store.universe, delta, store.round_seed(round_))
+        sk = L0Sketch(store.universe, sketch_delta(store.n, store.delta), store.round_seed(round_))
         for a, b in zip((sk.counts, sk.index_sums, sk.fingerprints), store.blocks(self.index)):
             a[...] = from_block(b[pos, round_], sk.reps)
         return sk
@@ -313,16 +313,16 @@ class SketchStore:
     """The cells of many forest banks in three flat arrays, one per field.
 
     masks is a [banks, n] boolean array whose row b marks the members of
-    bank b. A bank is a row of the store: its members, its repetition
-    count reps[b] (a function of its member count sizes[b], worked out
-    once per distinct count) and the offset of its [member, round, cell]
-    cells, handed out by blocks(b); ForestSketchBank is a view of one
-    row. The block of one (member, round) is l0.to_block of its cells: the
-    level-0 cell, then each repetition's levels >= 1 in turn,
-    block_cells(reps, levels) in all. See the module docstring for the
-    layout, the seeding and the bytes (each bank's bank_bytes, so a
-    store's nbytes is their sum). Cells are allocated with np.zeros and
-    never pre-touched, so pages of cells no event reaches stay unbacked.
+    bank b. Every sketch has reps repetitions, repetition_count of
+    sketch_delta(n, delta), so every (member, round) block is l0.to_block
+    of its cells: the level-0 cell, then each repetition's levels >= 1 in
+    turn, block_cells(reps, levels) in all. A bank is a row of the store:
+    its members and the offset of its [member, round, cell] cells, handed
+    out by blocks(b); ForestSketchBank is a view of one row. See the
+    module docstring for the layout, the seeding and the bytes (each
+    bank's bank_bytes, so a store's nbytes is their sum). Cells are
+    allocated with np.zeros and never pre-touched, so pages of cells no
+    event reaches stay unbacked.
     """
 
     def __init__(self, n: int, masks: np.ndarray, delta: float, seed: int):
@@ -336,13 +336,9 @@ class SketchStore:
         self.universe = pair_universe(n)
         self.levels = level_count(self.universe)
         self.sizes = masks.sum(axis=1)
-        distinct, size_of_bank = np.unique(self.sizes, return_inverse=True)
-        reps = [bank_shape(n, m, delta)[0] for m in distinct.tolist()]
-        self.reps = np.array(reps, dtype=np.int64)[size_of_bank]
-        # banks with the same repetition count share a block layout
-        self._class_reps, self._rep_class = np.unique(self.reps, return_inverse=True)
+        self.reps = repetition_count(sketch_delta(n, delta))
         rep_seeds, sub_seeds, self.z = zip(
-            *(sketch_seeds(self.round_seed(r), int(self.reps.max())) for r in range(self.rounds))
+            *(sketch_seeds(self.round_seed(r), self.reps) for r in range(self.rounds))
         )
         # [round, rep] and [round, 1]: one hash draws the levels of every round
         self._round_rep_seeds = np.stack(rep_seeds)
@@ -350,10 +346,10 @@ class SketchStore:
         # _slot[v, b]: position of vertex v among bank b's members, or -1
         slots = np.where(masks, np.cumsum(masks, axis=1) - 1, -1)
         self._slot = slots.T.astype(SLOT_DTYPE, order="C")
-        self._member_stride = self.rounds * block_cells(self.reps, self.levels)
-        cells = self.sizes * self._member_stride
-        self._offset = np.cumsum(cells) - cells
-        total = int(cells.sum())
+        self._width = block_cells(self.reps, self.levels)
+        self._member_stride = self.rounds * self._width
+        self._offset = (np.cumsum(self.sizes) - self.sizes) * self._member_stride
+        total = int(self.sizes.sum()) * self._member_stride
         self.counts, self.index_sums, self.fingerprints = (
             np.zeros(total, dtype=d) for d in CELL_DTYPES
         )
@@ -365,13 +361,12 @@ class SketchStore:
     def blocks(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bank b's counts, index sums and fingerprints as [member, round, cell] views.
 
-        A (member, round) block is l0.to_block of that sketch's
-        [reps[b], levels] cells.
+        A (member, round) block is l0.to_block of that sketch's [reps,
+        levels] cells, the same width in every bank.
         """
-        size, stride = int(self.sizes[b]), int(self._member_stride[b])
-        start = int(self._offset[b])
-        cells = slice(start, start + size * stride)
-        shape = (size, self.rounds, stride // self.rounds)
+        size, start = int(self.sizes[b]), int(self._offset[b])
+        cells = slice(start, start + size * self._member_stride)
+        shape = (size, self.rounds, self._width)
         return tuple(
             a[cells].reshape(shape) for a in (self.counts, self.index_sums, self.fingerprints)
         )
@@ -386,30 +381,22 @@ class SketchStore:
     def fold(self, hit: np.ndarray, lo: int, hi: int, delta: int) -> None:
         """Add delta at pair {lo, hi} to lo's sketches and -delta to hi's.
 
-        Every bank in hit must hold both endpoints, and lo < hi. The
-        cells an event reaches within a member's rounds depend only on
-        the bank's repetition count: they are a prefix of the block the
-        event reaches at the most repetitions, which is worked out once,
-        and each count's pattern of offsets is added to every hit bank's
-        member bases.
+        Every bank in hit must hold both endpoints, and lo < hi. Every
+        block has one width, so the cells an event reaches within a
+        member's rounds are one pattern of offsets, worked out once and
+        added to the base of each endpoint in every hit bank.
         """
         idx = pair_index(lo, hi, self.n)
         # depth[round, rep]: the deepest level the pair lands in
         depth = deepest_levels(self._round_sub_seeds, self._round_rep_seeds, idx, self.levels)
         zpow = np.array([pow(z, idx, PRIME) for z in self.z], dtype=np.int64)
         sign = np.array([delta, -delta])[:, None, None]  # lo's cells, then hi's
-        # [round, cell]: the cells the pair lands in, at the most repetitions
-        reached = to_block(np.arange(self.levels) <= depth[:, :, None])
-        classes = self._rep_class[hit]
-        for c in np.unique(classes).tolist():
-            banks = hit[classes == c]
-            width = block_cells(int(self._class_reps[c]), self.levels)
-            pattern = np.flatnonzero(reached[:, :width])
-            dz = zpow[pattern // width]
-            members = np.stack((self._slot[lo, banks], self._slot[hi, banks]))
-            bases = self._offset[banks] + members * self._member_stride[banks]
-            cells = bases[:, :, None] + pattern
-            self.counts[cells] += sign
-            self.index_sums[cells] += sign * idx
-            fps = self.fingerprints
-            fps[cells] = (fps[cells] + sign * dz) % PRIME
+        # the cells the pair lands in within one member's rounds, as flat [round, cell] offsets
+        pattern = np.flatnonzero(to_block(np.arange(self.levels) <= depth[:, :, None]))
+        dz = zpow[pattern // self._width]
+        members = np.stack((self._slot[lo, hit], self._slot[hi, hit]))
+        cells = (self._offset[hit] + members * self._member_stride)[:, :, None] + pattern
+        self.counts[cells] += sign
+        self.index_sums[cells] += sign * idx
+        fps = self.fingerprints
+        fps[cells] = (fps[cells] + sign * dz) % PRIME

@@ -45,9 +45,11 @@ flat arrays (streamvc.forest), with the level-0 cell, which every
 repetition shares, stored once per sketch: a block of block_cells(reps,
 levels) = 1 + reps * (levels - 1) cells, level 0 first and then each
 repetition's levels >= 1 in turn. block_cells, to_block and from_block
-are the one place that spells the block out. Since repetition seeds are
-a prefix, the block of a sketch with fewer repetitions is a prefix of
-the block of one with more. Banks share this module's seed derivation
+are the one place that spells the block out. Every sketch of one store
+has the same repetition count (streamvc.forest), so all its blocks have
+one width; since repetition seeds are a prefix, the block of a sketch
+with fewer repetitions is still a prefix of the block of one with more,
+so a smaller count keeps every decode that succeeds within it. Banks share this module's seed derivation
 (sketch_seeds), level rule (level_count, deepest_levels), block layout
 and decoder (sample_cells), which reads a block in storage order;
 L0Sketch.sample hands it to_block of its cells; repetition_levels reads

@@ -314,20 +314,23 @@ def test_stream_cells_equal_reference_sketches(n, k):
     rounds, universe = round_count(n), n * (n - 1) // 2
     levels = level_count(universe)
     store = certifier.store
+    delta = forest.sketch_delta(n, 0.05)
+    reps = L0Sketch(universe, delta, 0).reps
+    assert store.reps == reps
     cells = 0
     sizes = set()
     for i, members in enumerate(sample_subsets(params)):
         m = len(members)
         sizes.add(min(m, 2))
         assert certifier.banks[i].members == tuple(members.tolist())
-        sketch_delta = min(0.5, 0.05 / max(1, rounds * m))
-        reps = L0Sketch(universe, sketch_delta, 0).reps
         cells += m * rounds * (1 + (levels - 1) * reps)
         blocks = store.blocks(i)
+        # every bank's blocks have one width
+        assert all(b.shape == (m, rounds, 1 + (levels - 1) * reps) for b in blocks)
         for r in range(rounds):
             round_seed = derive_seed(derive_seed(params.seed, "sketch"), "round", r)
             for pos, v in enumerate(members.tolist()):
-                ref = L0Sketch(universe, sketch_delta, round_seed)
+                ref = L0Sketch(universe, delta, round_seed)
                 for e in events:
                     lo, hi = min(e.i, e.j), max(e.i, e.j)
                     if lo in members and hi in members and v in (lo, hi):
@@ -480,18 +483,16 @@ def test_repetition_cut_keeps_certificates(n, monkeypatch):
     params = CertParams(n=n, k=2, scale_c=10, seed=34 + n, delta=0.01)
 
     def run():
-        forest.bank_shape.cache_clear()
         certifier = StreamCertifier(params)
         for e in events:
             certifier.update(e)
-        return json.loads(certifier.finalize().to_json()), int(certifier.store.reps.max())
+        return json.loads(certifier.finalize().to_json()), certifier.store.reps
 
     try:
         monkeypatch.setattr(l0, "REP_SCALE", 4.0)
         wide, wide_reps = run()
     finally:
         monkeypatch.undo()
-        forest.bank_shape.cache_clear()
     cut, cut_reps = run()
     assert cut_reps < wide_reps
     assert cut.pop("measured_sketch_bytes") < wide.pop("measured_sketch_bytes")
@@ -527,17 +528,6 @@ def test_space_cap_message_reports_the_first_block_over_the_cap():
         f"take {totals[2 * FOREST_BLOCK - 1]} bytes"
     )
     assert StreamCertifier(params, space_cap_bytes=totals[-1]).measured_bytes() == totals[-1]
-
-
-def test_repetition_count_runs_once_per_distinct_subset_size(monkeypatch):
-    calls = []
-    count = forest.repetition_count
-    monkeypatch.setattr(forest, "repetition_count", lambda d: calls.append(d) or count(d))
-    params = CertParams(n=12, k=3, scale_c=20, seed=26, delta=0.05)
-    forest.bank_shape.cache_clear()
-    certifier = StreamCertifier(params)
-    bank_bytes(12, int(certifier.store.sizes[0]), 0.05)
-    assert len(calls) == len(set(certifier.store.sizes.tolist()))
 
 
 def test_certificate_json_schema_and_roundtrip():

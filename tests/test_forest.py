@@ -19,7 +19,7 @@ from streamvc.graph import (
     replay_stream,
 )
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import FAIL, PRIME, NonZeroIndex
+from streamvc.l0 import EMPTY, FAIL, PRIME, NonZeroIndex
 from streamvc.seeds import derive_seed
 
 
@@ -291,3 +291,50 @@ def test_certifier_banks_are_views_equal_to_direct_banks():
         assert (x.sample_failures, x.rounds_used) == (y.sample_failures, y.rounds_used)
         forests += len(x.forest) > 0
     assert forests > 0
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_nonempty_decodes_halve_each_round(seed, monkeypatch):
+    """The bound that sizes every bank: without a FAIL, fewer than 2 |live| samples are drawn.
+
+    A component whose cut is empty sums to an all-zero block and decodes
+    EMPTY; every other component decodes an edge into another such one and
+    joins it, so the non-EMPTY decodes at least halve from round to round.
+    """
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(8, 33)), int(rng.integers(1, 4))
+    events = gen_random_stream(n, float(rng.uniform(0.05, 0.3)), 0.3, seed=80 + seed)
+    assert any(e.delta < 0 for e in events)
+    certifier = StreamCertifier(CertParams(n=n, k=k, scale_c=2, seed=81 + seed, delta=0.05))
+    for e in events:
+        certifier.update(e)
+    store = certifier.store
+    counts = np.zeros(store.rounds, dtype=np.int64)  # non-EMPTY decodes per round
+    decode = forest_mod.sample_cells
+
+    def counted(cells, index_sums, fingerprints, z, universe):
+        outcome = decode(cells, index_sums, fingerprints, z, universe)
+        counts[store.z.index(z)] += outcome is not EMPTY
+        return outcome
+
+    monkeypatch.setattr(forest_mod, "sample_cells", counted)
+    checked = 0
+    for b, bank in enumerate(certifier.banks):
+        counts[:] = 0
+        if bank.extract().sample_failures:
+            continue
+        blocks = store.blocks(b)
+        live = int(np.any([c[:, :, 0] != 0 for c in blocks], axis=(0, 2)).sum())
+        assert np.all(counts[1:] <= counts[:-1] // 2)
+        assert counts.sum() <= max(0, 2 * live - 1)
+        checked += counts[1] > 0
+    assert checked > 0  # some extraction ran a second decoding round
+
+
+def test_bank_repetitions_bound_every_sample_of_an_extraction():
+    """(2m - 1) (1/3)^reps < delta for every bank of m <= n members."""
+    for n in (1, 2, 3, 8, 32, 100, MAX_N):
+        for delta in (1e-9, 0.01, 0.1, 0.49, 0.4999999):
+            store = forest_mod.SketchStore(n, np.zeros((0, n), dtype=bool), delta, seed=0)
+            assert isinstance(store.reps, int)
+            assert 2 * n * (1 / 3) ** store.reps <= delta
