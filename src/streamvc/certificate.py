@@ -93,7 +93,10 @@ class CertParams:
             # repeat it (sketch banks with the same members hold the same
             # cells), so delta is the failure budget of the whole run
             return 1
-        count = self.scale_c * self.k * self.k * math.log(self.n)
+        try:
+            count = self.scale_c * self.k * self.k * math.log(self.n)
+        except OverflowError:  # an int k too large for a float
+            count = math.inf
         if count == math.inf:
             raise ValueError(f"forest count C * k^2 * ln n overflows at C={self.scale_c}")
         return max(1, math.ceil(count))

@@ -119,6 +119,8 @@ def _certify_stream(args, n: int, k: int, seed: int, events, support):
 
 
 def _certify(args) -> int:
+    if args.cert_out and args.mode == "insertion":
+        raise ValueError("--cert-out needs a certificate; insertion mode keeps none")
     started = time.perf_counter()
     n, k, events, support = _read(args)
     certificate, forest_params, fields = _certify_stream(args, n, k, args.seed, events, support)
@@ -126,7 +128,7 @@ def _certify(args) -> int:
     report = {"command": "certify", "params": params, **fields}
     if args.oracle:
         report["oracle_verdict"] = is_k_connected(support(), k)
-    if args.cert_out and certificate is not None:
+    if args.cert_out:
         Path(args.cert_out).write_text(certificate.to_json() + "\n", encoding="utf-8")
         report["cert_out"] = str(args.cert_out)
     report["wall_time_s"] = round(time.perf_counter() - started, 6)

@@ -45,9 +45,9 @@ cells of one (bank, member, round) equal to_block of that reference
 sketch fed the member's signed incidence updates.
 A bank's failure bound counts the samples an extraction can draw before
 its first FAIL. Consider an extraction in which every sample so far
-succeeded. A component whose cut
-is empty sums to an all-zero block (internal edges cancel), so it
-decodes EMPTY every time and can never FAIL. Every other component
+succeeded. A component whose cut is empty sums to an all-zero block
+(internal edges cancel), so it decodes EMPTY every time and can never
+FAIL. Every other component
 decodes an edge into another component with a nonempty cut and joins it,
 so the c_t components with a nonempty cut before round t become at most
 c_t / 2 after it. Starting from at most m live members, a bank therefore
@@ -62,18 +62,36 @@ sharing gives up is independence between banks' failures: banks with
 the same members hold identical cells and fail together, so a second
 bank over the same member set is no second attempt (the certifier builds
 one bank for k = 1, where every subset is the whole vertex set).
+Extraction also trusts every zero level-0 cell it reads: a member whose
+round-0 level-0 cell is zero is never decoded, and a component that
+decodes EMPTY is retired. A nonzero vector sums to a zero level-0 cell
+only if its fingerprint, a nonzero polynomial of degree below U in z,
+vanishes at that round's z: probability at most U/p, with U the pair
+universe. An extraction reads m such cells for its live test and retires
+at most 2m - 1 components (m members and at most m - 1 unions), each in
+a round whose battery is fresh to it, so it drops a nonempty cut with
+probability at most (3m - 1) U/p < 1.5 n^3 / p: below 10^-9 for n up to
+1000, and about 5 * 10^-4 at MAX_N. A dropped cut is no FAIL; it leaves
+the forest short of a component's edges.
 
 An event is folded into all the banks holding both endpoints in one
 vectorized pass: one hash over [round, rep], one z^index per round, one
 pattern of the reached cells' offsets within a member's rounds, and one
 fancy-indexed add per field over both endpoints of every hit bank.
-Extraction reads the level-0 cells once per call to find the live
-members, those whose level-0 cell is nonzero in some round; a member
-that is not live samples EMPTY in every round and is never decoded. The live members' components persist across rounds, each
-union moving the old root's member positions to the new root, and a
-component is summed once per round rather than once per repetition.
-Extraction stops once at most one live component is left, or after a
-round in which every decode is EMPTY.
+Extraction finds the live members once, those whose round-0 level-0
+cell is nonzero; a member that is not live samples EMPTY in every round
+and is never decoded. It keeps one map from each component's root to the
+component's [round, cell] sums: a live member starts as views of its own
+blocks, and a union stores the two components' sums added into new
+arrays, so a component is summed once, at the union that forms it, and
+extraction never writes into the store. Fingerprints are reduced mod p
+once per add: each operand is below p, so the sum fits int64. Counts
+stay int32, since every partial sum is a component's cut count, bounded
+by the live-multiplicity guard. A component that decodes EMPTY has an
+empty cut, so it would decode EMPTY in every later round: it leaves the
+map for good. A union that touches a retired root, which takes a false
+decode, takes that root's sums back. Extraction stops once the rounds
+run out or at most one component is left in the map.
 """
 from __future__ import annotations
 
@@ -176,8 +194,9 @@ class ForestExtraction:
 
     sample_failures counts the decodes that failed or named a pair outside
     the members. rounds_used counts the rounds that decoded something: a
-    round runs only while at least two live components are left, so there
-    is no trailing all-EMPTY round once the live members form one component.
+    round runs only while at least two components are left in the map,
+    those that have not decoded EMPTY, so a retired component is never
+    decoded again and the rounds stop once all but one are retired.
     """
 
     forest: EdgeSet
@@ -231,60 +250,62 @@ class ForestSketchBank:
     def extract(self) -> ForestExtraction:
         """Recover a spanning forest of the induced subgraph on the members.
 
-        Contraction rounds over the live members, those whose level-0
-        cell is nonzero in some round: every other member's incidence
-        vector is zero, except with probability at most U/p (the
-        fingerprint bound), so it samples EMPTY in every round and is
-        never decoded.
-        Each round merges each live component's round-r sketches, samples
-        one outgoing edge per component and unions the sampled edges;
-        the components persist across rounds, a union moving the old
-        root's member positions to the new root. Stops once at most one
-        live component is left, or after a round in which every decode
-        is EMPTY: every cut is then empty, while a failed decode may
-        still succeed on a later round's independent battery. Sample
-        failures (and any decode whose endpoints fall outside the member
-        set, which the fingerprint makes astronomically unlikely) are
-        counted, not fatal.
+        Contraction rounds over the live members, those whose round-0
+        level-0 cell is nonzero: every other member's incidence vector
+        is zero, except with probability at most U/p (the fingerprint
+        bound), so it samples EMPTY in every round and is never decoded.
+        Each round decodes the round-r sums of every component still in
+        the map, in root order, and unions the sampled edges; a union
+        stores the sum of its two components' sums under the new root.
+        A component that decodes EMPTY has an empty cut (except with
+        probability at most U/p) and leaves the map for good, while a
+        failed decode may still succeed on a later round's independent
+        battery. Stops once the rounds run out or at most one component
+        is left in the map. Sample failures (and any decode whose
+        endpoints fall outside the member set, which the fingerprint
+        makes astronomically unlikely) are counted, not fatal. Reads the
+        store and never writes it.
         """
         store = self.store
         blocks = store.blocks(self.index)
         slot = store._slot[:, self.index].tolist()
-        live = np.flatnonzero(np.any([b[:, :, 0] != 0 for b in blocks], axis=(0, 2)))
-        comps = {pos: [pos] for pos in live.tolist()}  # root -> member positions
+        live = np.flatnonzero(np.any([c[:, 0, 0] for c in blocks], axis=0))
+
+        def own(pos):  # a member's [round, cell] counts, index sums and fingerprints
+            return tuple(c[pos] for c in blocks)
+
+        sums = {pos: own(pos) for pos in live.tolist()}  # root -> its component's sums
+        done = {}  # the roots that decoded EMPTY, and their sums
         uf = UnionFind(int(store.sizes[self.index]))
         forest = EdgeSet(store.n)
         failures = rounds_used = 0
         for r in range(store.rounds):
-            if len(comps) <= 1:
+            if len(sums) <= 1:
                 break
             rounds_used += 1
-            cells = [b[:, r] for b in blocks]
-            outcomes = []
-            for root in sorted(comps):
-                positions = comps[root]
-                if len(positions) == 1:
-                    cell_sums = (c[positions[0]] for c in cells)
-                else:
-                    cell_sums = _merged(cells, positions)
-                outcomes.append(sample_cells(*cell_sums, store.z[r], store.universe))
-            if all(outcome is EMPTY for outcome in outcomes):
-                break
             sampled: list[tuple[int, int]] = []
-            for outcome in outcomes:
+            for root in sorted(sums):
+                outcome = sample_cells(*(s[r] for s in sums[root]), store.z[r], store.universe)
+                if outcome is EMPTY:
+                    done[root] = sums.pop(root)
+                    continue
                 if isinstance(outcome, NonZeroIndex):
                     u, v = pair_from_index(outcome.index, store.n)
                     if slot[u] >= 0 and slot[v] >= 0:
                         sampled.append((u, v))
                         continue
-                failures += outcome is not EMPTY
+                failures += 1
             for u, v in sampled:
                 a, b = uf.find(slot[u]), uf.find(slot[v])
                 if uf.union(a, b):
                     forest.add(u, v)
-                    keep, gone = (a, b) if uf.find(a) == a else (b, a)
-                    # a member that is not live joins only through a sampled edge
-                    comps.setdefault(keep, [keep]).extend(comps.pop(gone, [gone]))
+                    # a done root rejoins only after a false decode, and a
+                    # member that is not live joins only through a sampled edge
+                    (ca, ia, fa), (cb, ib, fb) = (
+                        sums.pop(x, None) or done.pop(x, None) or own(x) for x in (a, b)
+                    )
+                    # each fingerprint is below p, so their sum fits int64
+                    sums[uf.find(a)] = ca + cb, ia + ib, (fa + fb) % PRIME
         return ForestExtraction(forest, failures, rounds_used)
 
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
@@ -297,16 +318,6 @@ class ForestSketchBank:
         for a, b in zip((sk.counts, sk.index_sums, sk.fingerprints), store.blocks(self.index)):
             a[...] = from_block(b[pos, round_], sk.reps)
         return sk
-
-
-def _merged(cells, positions: list[int]):
-    """Cell-wise sum of the members' blocks; fingerprints mod PRIME."""
-    counts, isums = (c[positions].sum(axis=0) for c in cells[:2])
-    fps = cells[2][positions]
-    while len(fps) > 1:
-        # four residues below PRIME < 2^61 sum below 2^63 and fit in int64
-        fps = np.add.reduceat(fps, np.arange(0, len(fps), 4), axis=0) % PRIME
-    return counts, isums, fps[0]
 
 
 class SketchStore:

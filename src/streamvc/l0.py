@@ -49,13 +49,13 @@ are the one place that spells the block out. Every sketch of one store
 has the same repetition count (streamvc.forest), so all its blocks have
 one width; since repetition seeds are a prefix, the block of a sketch
 with fewer repetitions is still a prefix of the block of one with more,
-so a smaller count keeps every decode that succeeds within it. Banks share this module's seed derivation
-(sketch_seeds), level rule (level_count, deepest_levels), block layout
-and decoder (sample_cells), which reads a block in storage order;
-L0Sketch.sample hands it to_block of its cells; repetition_levels reads
-a block one repetition at a time, to measure the decode rate. What the
-banks' cells cost in bytes is counted where they are allocated, in
-streamvc.forest.
+so a smaller count keeps every decode that succeeds within it. Banks
+share this module's seed derivation (sketch_seeds), level rule
+(level_count, deepest_levels), block layout and decoder (sample_cells),
+which reads a block in storage order; L0Sketch.sample hands it to_block
+of its cells; repetition_levels reads a block one repetition at a time,
+to measure the decode rate. What the banks' cells cost in bytes is
+counted where they are allocated, in streamvc.forest.
 """
 from __future__ import annotations
 

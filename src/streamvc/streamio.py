@@ -1,18 +1,19 @@
 """Line-oriented stream file format.
 
 First non-comment line is the header "n k"; every following data line is
-"u v d" with d in {+1, -1}. '#' starts a comment, blank lines are
-ignored. Lines end at "\n", "\r\n" or "\r"; the last may lack one. A
-leading UTF-8 byte-order mark is skipped. The format is diffable and
-trivial to generate by hand.
+"u v d" with d in {+1, -1} and u != v, both in 0..n-1 (graph.validate_event;
+read_stream reports a bad event with its line). '#' starts a comment,
+blank lines are ignored. Lines end at "\n", "\r\n" or "\r"; the last may
+lack one. A leading UTF-8 byte-order mark is skipped. The format is
+diffable and trivial to generate by hand.
 """
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Iterable
 
-from .errors import StreamFormatError
-from .graph import UpdateEvent
+from .errors import StreamError, StreamFormatError
+from .graph import UpdateEvent, validate_event
 
 
 def write_stream(
@@ -60,9 +61,12 @@ def read_stream(path) -> tuple[int, int, list[UpdateEvent]]:
                 u, v, d = int(fields[0]), int(fields[1]), int(fields[2])
             except ValueError:
                 raise StreamFormatError("event fields must be integers", line=lineno)
-            if d not in (1, -1):
-                raise StreamFormatError(f"delta must be +1 or -1, got {d}", line=lineno)
-            events.append(UpdateEvent(u, v, d))
+            event = UpdateEvent(u, v, d)
+            try:
+                validate_event(event, n)
+            except (StreamError, ValueError) as exc:
+                raise StreamFormatError(str(exc), line=lineno) from exc
+            events.append(event)
     if n is None:
         raise StreamFormatError("missing header line 'n k'")
     return n, k, events

@@ -59,8 +59,9 @@ def test_params_validation():
     for scale_c in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             CertParams(n=5, k=2, scale_c=scale_c)
-    with pytest.raises(ValueError, match="overflows"):
-        CertParams(n=5, k=4, scale_c=1e308).num_forests
+    for params in (CertParams(n=5, k=4, scale_c=1e308), CertParams(n=5, k=10**400)):
+        with pytest.raises(ValueError, match="overflows"):
+            params.num_forests
 
 
 def test_forest_count_formula():

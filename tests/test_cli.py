@@ -42,6 +42,8 @@ def test_stream_parse_errors(tmp_path):
         ("4 2\n0 1 +2\n", "delta"),
         ("4 2\na b +1\n", "integers"),
         ("# only comments\n", "missing header"),
+        ("4 2\n0 1 +1\n0 9 +1\n", "endpoints"),
+        ("4 2\n2 2 -1\n", "self-loop"),
     ]
     for body, fragment in cases:
         path = tmp_path / "bad.stream"
@@ -49,6 +51,7 @@ def test_stream_parse_errors(tmp_path):
         with pytest.raises(StreamFormatError) as err:
             read_stream(path)
         assert fragment.split()[0] in str(err.value)
+    assert str(err.value) == "line 2: self-loop at vertex 2"
 
 
 def test_parse_error_reports_line_number(tmp_path):
@@ -300,6 +303,18 @@ def test_cert_out_writes_certificate_json(tmp_path, capsys):
     assert len(cert.edges) == report["certificate_edges"]
 
 
+def test_cert_out_in_insertion_mode_exit_2(tmp_path, capsys):
+    # the insertion certifier keeps no certificate to write
+    path, cert_path = tmp_path / "k5.stream", tmp_path / "cert.json"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    code, out, err = run_cli(
+        capsys, "certify", str(path), "--mode", "insertion", "--cert-out", str(cert_path)
+    )
+    assert code == 2 and out is None
+    assert err["error"].startswith("ValueError") and "--cert-out" in err["error"]
+    assert not cert_path.exists()
+
+
 def test_subprocess_entry_exit_codes(tmp_path):
     import subprocess
     import sys
@@ -416,6 +431,22 @@ def test_certify_dynamic_huge_scale_exit_2(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out is None
     assert "forest bound" in err["error"]
+
+
+def test_certify_huge_k_exit_2(tmp_path, capsys):
+    # C * k^2 does not fit a float: the same refusal as an infinite count
+    path = tmp_path / "k5.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    huge = str(10**400)
+    for argv in (
+        ("certify", str(path), "--mode", "offline"),
+        ("certify", str(path), "--mode", "dynamic"),
+        ("check", str(path), "--mode", "offline", "--trials", "1"),
+        ("check", str(path), "--mode", "dynamic", "--trials", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--k", huge)
+        assert code == 2 and out is None
+        assert err["error"].startswith("ValueError") and "overflows" in err["error"]
 
 
 def test_certify_live_multiplicity_overflow_exit_2(tmp_path, capsys, monkeypatch):

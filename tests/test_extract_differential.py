@@ -1,15 +1,17 @@
 """Differential test: ForestSketchBank.extract against the extraction loop it replaced.
 
-reference_extract is the earlier loop, kept as it was apart from taking the
-bank as an argument and calling forest's _merged and sample_cells through
-the module, so that a patched decoder reaches both loops. Every round it
-rebuilds the component map with UnionFind.find over every member and
-re-tests every singleton's level-0 cell, and it stops once the members
-form one component or a round samples nothing and fails nothing. extract
-works on the live members only, keeps
-its components across rounds and stops once at most one live component
-is left. Both must give the same forest and failure count on every bank,
-and extract runs no more rounds.
+reference_extract is an earlier loop, kept as it was apart from taking the
+bank as an argument and calling forest's sample_cells through the module,
+so that a patched decoder reaches both loops; it keeps its own copy of the
+_merged helper it used. Every round it rebuilds the component map with
+UnionFind.find over every member, re-sums every component from its
+members' blocks, re-tests every singleton's level-0 cell and decodes every
+component again, and it stops once the members form one component or a
+round samples nothing and fails nothing. extract works on the live members
+only, sums a component once, at the union that forms it, retires a
+component for good once it decodes EMPTY and stops once at most one
+component that has not decoded EMPTY is left. Both must give the same
+forest and failure count on every bank, and extract runs no more rounds.
 """
 import numpy as np
 import pytest
@@ -19,7 +21,17 @@ from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.forest import ForestExtraction, ForestSketchBank, pair_from_index, pair_index
 from streamvc.graph import EdgeSet, UnionFind, UpdateEvent
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import EMPTY, FAIL, NonZeroIndex
+from streamvc.l0 import EMPTY, FAIL, PRIME, NonZeroIndex
+
+
+def _merged(cells, positions: list[int]):
+    """Cell-wise sum of the members' blocks; fingerprints mod PRIME."""
+    counts, isums = (c[positions].sum(axis=0) for c in cells[:2])
+    fps = cells[2][positions]
+    while len(fps) > 1:
+        # four residues below PRIME < 2^61 sum below 2^63 and fit in int64
+        fps = np.add.reduceat(fps, np.arange(0, len(fps), 4), axis=0) % PRIME
+    return counts, isums, fps[0]
 
 
 def reference_extract(bank: ForestSketchBank) -> ForestExtraction:
@@ -51,7 +63,7 @@ def reference_extract(bank: ForestSketchBank) -> ForestExtraction:
                     continue
                 counts, isums, fps = (c[positions[0]] for c in cells)
             else:
-                counts, isums, fps = forest_mod._merged(cells, positions)
+                counts, isums, fps = _merged(cells, positions)
             outcome = forest_mod.sample_cells(counts, isums, fps, store.z[r], store.universe)
             if outcome is FAIL:
                 failures += 1
@@ -159,4 +171,32 @@ def test_decodes_joining_members_that_are_not_live(monkeypatch):
     patch_decoder(monkeypatch, bank, {0}, lambda outcome: isolated)
     got = bank.extract()
     assert (6, 7) in got.forest.edges
+    assert_same_extraction(bank)
+
+
+def test_decodes_joining_a_component_that_decoded_empty(monkeypatch):
+    # rounds 0 and 1 fail every decode of {2, 3} and {4, 5}, so {0, 1}
+    # forms alone and decodes EMPTY in round 1. There false decodes join
+    # 2 (which reads {2, 3} with sign +1) and 3 (sign -1) to it: the sum of
+    # {0, 1, 2, 3} is zero only if it starts from the sum {0, 1} was
+    # retired with, so it decodes EMPTY in round 2 and no round 3 runs
+    n = 6
+    bank = ForestSketchBank(n, range(n), 0.05, seed=11)  # 4 rounds
+    for u, v in [(0, 1), (2, 3), (4, 5)]:
+        bank.update(UpdateEvent(u, v, 1))
+    pairs = {pair_index(2, 3, n), pair_index(4, 5, n)}
+
+    def fail(outcome):
+        return FAIL if getattr(outcome, "index", None) in pairs else outcome
+
+    def join(outcome):
+        if getattr(outcome, "index", None) != pair_index(2, 3, n):
+            return fail(outcome)
+        return NonZeroIndex(pair_index(0, 2 if outcome.sign > 0 else 3, n), 1)
+
+    patch_decoder(monkeypatch, bank, {0}, fail)
+    patch_decoder(monkeypatch, bank, {1}, join)
+    got = bank.extract()
+    assert got.forest.edges == {(0, 1), (0, 2), (0, 3), (4, 5)}
+    assert (got.sample_failures, got.rounds_used) == (6, 3)
     assert_same_extraction(bank)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -234,11 +236,13 @@ def test_merged_component_reduces_level0_fingerprints_mod_p():
     """A 17-vertex path whose members' level-0 fingerprints lie just below p.
 
     The fingerprints are rewritten so that they still sum, mod p, to the
-    path's true sum (zero: the path has no outgoing edge). Summed without
-    reduction, 16 of them overflow int64, the merged path no longer reads
-    EMPTY, and its decode counts as a failure. The edge {18, 19} is a
-    second live component, so extraction goes on past the round that
-    completes the path and decodes the whole path's sum.
+    path's true sum (zero: the path has no outgoing edge). Each union adds
+    two components' fingerprints and reduces the sum mod p. Without that
+    reduction the partial sums pass p and the 16 together overflow int64,
+    so the merged path no longer reads EMPTY and its decodes count as
+    failures. The edge {18, 19} is a second live component, so extraction
+    goes on past the round that completes the path and decodes the whole
+    path's sum.
     """
     n, path = 20, list(range(17))
     bank = ForestSketchBank(n, range(n), 0.01, seed=12)  # vertex 17 stays isolated
@@ -338,3 +342,54 @@ def test_bank_repetitions_bound_every_sample_of_an_extraction():
             store = forest_mod.SketchStore(n, np.zeros((0, n), dtype=bool), delta, seed=0)
             assert isinstance(store.reps, int)
             assert 2 * n * (1 / 3) ** store.reps <= delta
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_each_component_decodes_empty_at_most_once(seed, monkeypatch):
+    """A component that decodes EMPTY is retired: it is never decoded again.
+
+    Without a false decode, the components that are left when it ends are
+    exactly those of the forest over the live members, and each decodes
+    EMPTY at most once; a component that is absorbed later never did.
+    """
+    rng = np.random.default_rng(900 + seed)
+    n, k = int(rng.integers(8, 25)), int(rng.integers(1, 4))
+    events = gen_random_stream(n, float(rng.uniform(0.05, 0.3)), 0.4, seed=90 + seed)
+    assert any(e.delta < 0 for e in events)
+    certifier = StreamCertifier(CertParams(n=n, k=k, scale_c=2, seed=91 + seed, delta=0.05))
+    for e in events:
+        certifier.update(e)
+    empties = 0
+    decode = forest_mod.sample_cells
+
+    def counted(*args):
+        nonlocal empties
+        outcome = decode(*args)
+        empties += outcome is EMPTY
+        return outcome
+
+    monkeypatch.setattr(forest_mod, "sample_cells", counted)
+    for b, bank in enumerate(certifier.banks):
+        empties = 0
+        forest = bank.extract().forest
+        live = np.any([c[:, 0, 0] for c in certifier.store.blocks(b)], axis=0).sum()
+        assert empties <= live - len(forest)
+
+
+def test_extraction_leaves_the_store_unchanged():
+    """finalize runs again on the same state, so extraction writes no cell of the store."""
+    n = 16
+    certifier = StreamCertifier(CertParams(n=n, k=2, scale_c=2, seed=30, delta=0.05))
+    for e in gen_random_stream(n, 0.3, 0.3, seed=31):
+        certifier.update(e)
+    store = certifier.store
+    arrays = (store.counts, store.index_sums, store.fingerprints, store._slot)
+
+    def checksums():
+        return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+    before = checksums()
+    first, second = certifier.finalize(), certifier.finalize()
+    assert checksums() == before
+    assert first.to_json() == second.to_json()
+    assert len(first.edges) > 0
