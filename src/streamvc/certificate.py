@@ -65,8 +65,11 @@ class CertParams:
 
     scale_c is the leading constant of the forest count; the analysis
     uses 200, which is far more than small instances need, so 20 is the
-    default here and 200 is opt-in (the CLI's --scale-c 200). delta is
-    the per-forest sketch failure budget, defaulting to n^-4.
+    default here and 200 is opt-in (the CLI's --scale-c 200). delta
+    bounds each forest's chance of a FAIL decode, defaulting to n^-4. It
+    does not cover a fingerprint false zero, which silently drops a
+    nonempty cut with probability below 1.5 n^3 / p (p = 2^61 - 1) per
+    forest on top of delta (the streamvc.forest module docstring).
     """
 
     n: int
@@ -298,7 +301,10 @@ class StreamCertifier:
     counts and int64 index sums and fingerprints, and one sketch battery
     per round, see streamvc.forest), each bank a row of it and
     self.banks[i] a ForestSketchBank view of row i. Each event is folded
-    into every bank that holds both endpoints in one vectorized pass.
+    into every bank that holds both endpoints in one vectorized pass,
+    which marks those banks dirty in the store. The certifier keeps each
+    bank's latest ForestExtraction, and finalize re-extracts only the
+    dirty banks.
 
     An n above forest.MAX_N, which the store cannot take, and a forest
     count above max_forests(n) (as the offline builder does) are rejected
@@ -345,6 +351,8 @@ class StreamCertifier:
         sketch_seed = derive_seed(params.seed, "sketch")
         self.store = SketchStore(n, np.concatenate(blocks), delta, sketch_seed)
         self.banks = [ForestSketchBank.view(self.store, b) for b in range(len(self._subset_seeds))]
+        # each bank's latest ForestExtraction; finalize refreshes the store's dirty banks
+        self._extractions = [None] * len(self.banks)
         self._graph = MultiGraph(n)
         self.live_multiplicity = 0
 
@@ -364,11 +372,26 @@ class StreamCertifier:
         return self
 
     def finalize(self) -> Certificate:
+        """The certificate of the stream so far.
+
+        Re-extracts only the banks marked dirty in the store, those an
+        event reached since the previous call (every bank on the first
+        call), keeps their ForestExtractions in place of the old ones and
+        clears the marks. An extraction is a pure function of its bank's
+        cells and the store's batteries, so a kept one equals a fresh
+        extraction. H and the forest records are then built from the r
+        kept extractions. Their forests hold at most sum(|V_i| - 1)
+        edges, query-side state like the validation MultiGraph, and are
+        not charged to the sketch bytes.
+        """
+        store = self.store
+        for b in np.flatnonzero(store.dirty).tolist():
+            self._extractions[b] = self.banks[b].extract()
+        store.dirty[:] = False
         kept: set[tuple[int, int]] = set()
         metas: list[ForestMeta] = []
-        sizes = self.store.sizes.tolist()
-        for bank, size, seed in zip(self.banks, sizes, self._subset_seeds):
-            extraction = bank.extract()
+        sizes = store.sizes.tolist()
+        for extraction, size, seed in zip(self._extractions, sizes, self._subset_seeds):
             kept.update(extraction.forest.edges)
             metas.append(ForestMeta(size=size, failures=extraction.sample_failures, seed=seed))
         h = EdgeSet(self.params.n, kept)

@@ -35,7 +35,9 @@ the _slot membership table, n entries of SLOT_DTYPE. That is affine in
 the member count, so the sum over the banks is the total member count
 times one member's cells plus one _slot column per bank, exactly the
 nbytes of the store's four arrays: a cap on that sum, checked before
-the store exists, caps what it allocates.
+the store exists, caps what it allocates. The store's dirty mask, one
+bool per bank, is bookkeeping for queries, not a cell array, and is
+not charged.
 
 Randomness. The store owns one seed and derives one sketch battery per
 round, sketch_seeds(derive_seed(seed, "round", r), reps): repetition
@@ -333,7 +335,9 @@ class SketchStore:
     module docstring for the layout, the seeding and the bytes (each
     bank's bank_bytes, so a store's nbytes is their sum). Cells are
     allocated with np.zeros and never pre-touched, so pages of cells no
-    event reaches stay unbacked.
+    event reaches stay unbacked. dirty[b] marks bank b as changed since
+    its owner last cleared the marks: it starts True for every bank and
+    fold, the only writer of cells, sets it for each bank it reaches.
     """
 
     def __init__(self, n: int, masks: np.ndarray, delta: float, seed: int):
@@ -364,6 +368,7 @@ class SketchStore:
         self.counts, self.index_sums, self.fingerprints = (
             np.zeros(total, dtype=d) for d in CELL_DTYPES
         )
+        self.dirty = np.ones(len(masks), dtype=bool)
 
     def round_seed(self, r: int) -> int:
         """Seed of round r's battery, shared by every bank of the store."""
@@ -395,8 +400,10 @@ class SketchStore:
         Every bank in hit must hold both endpoints, and lo < hi. Every
         block has one width, so the cells an event reaches within a
         member's rounds are one pattern of offsets, worked out once and
-        added to the base of each endpoint in every hit bank.
+        added to the base of each endpoint in every hit bank. The only
+        writer of cells, so it marks every hit bank dirty.
         """
+        self.dirty[hit] = True
         idx = pair_index(lo, hi, self.n)
         # depth[round, rep]: the deepest level the pair lands in
         depth = deepest_levels(self._round_sub_seeds, self._round_rep_seeds, idx, self.levels)

@@ -377,7 +377,11 @@ def test_each_component_decodes_empty_at_most_once(seed, monkeypatch):
 
 
 def test_extraction_leaves_the_store_unchanged():
-    """finalize runs again on the same state, so extraction writes no cell of the store."""
+    """Every bank is extracted twice over the same cells, so extraction writes no cell.
+
+    A second finalize with no event in between re-extracts no bank, so
+    the banks are also extracted directly, twice each.
+    """
     n = 16
     certifier = StreamCertifier(CertParams(n=n, k=2, scale_c=2, seed=30, delta=0.05))
     for e in gen_random_stream(n, 0.3, 0.3, seed=31):
@@ -390,6 +394,8 @@ def test_extraction_leaves_the_store_unchanged():
 
     before = checksums()
     first, second = certifier.finalize(), certifier.finalize()
+    for bank in certifier.banks:
+        assert bank.extract() == bank.extract()
     assert checksums() == before
     assert first.to_json() == second.to_json()
     assert len(first.edges) > 0

@@ -6,6 +6,8 @@ byte-identical. A bank whose extraction reports no sample failure must
 recover the component partition of its induced final graph, which is the
 partition the offline builder's exact forest spans.
 """
+from itertools import combinations
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,3 +79,55 @@ def test_failure_free_banks_recover_the_induced_partition(events, k, seed):
         assert component_partition(members, extraction.forest.edges) == (
             component_partition(members, induced)
         )
+
+
+@st.composite
+def queried_runs(draw):
+    """Certifier updates (a legal stream), bank-view updates and queries, interleaved.
+
+    A bank-view update is drawn as a bank and a pick among its own member
+    pairs, resolved on replay, so that it reaches the bank's cells.
+    """
+    banks = CertParams(n=N, k=2, scale_c=2).num_forests
+    steps = st.one_of(
+        st.tuples(st.just("update"), st.sampled_from(PAIRS), st.booleans()),
+        st.tuples(st.just("bank"), st.integers(0, banks - 1), st.integers(0, len(PAIRS))),
+        st.tuples(st.just("query")),
+    )
+    mult: dict[tuple[int, int], int] = {}
+    ops = []
+    for step in draw(st.lists(steps, max_size=30)):
+        if step[0] == "update":
+            (u, v), delete = step[1:]
+            if delete and mult.get((u, v), 0) > 0:
+                mult[(u, v)] -= 1
+                step = ("update", UpdateEvent(v, u, -1))
+            else:
+                mult[(u, v)] = mult.get((u, v), 0) + 1
+                step = ("update", UpdateEvent(u, v, 1))
+        ops.append(step)
+    return ops + [("query",)]
+
+
+def replay(certifier, ops):
+    for op in ops:
+        if op[0] == "update":
+            certifier.update(op[1])
+        elif op[0] == "bank":  # an insertion of one of the bank's own pairs, if it has one
+            bank = certifier.banks[op[1]]
+            own = list(combinations(bank.members, 2))
+            if own:
+                bank.update(UpdateEvent(*own[op[2] % len(own)], 1))
+    return certifier
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(ops=queried_runs(), seed=st.integers(0, 1000))
+def test_queries_along_the_way_equal_a_fresh_certifier(ops, seed):
+    params = CertParams(n=N, k=2, scale_c=2, seed=seed, delta=0.05)
+    queried = StreamCertifier(params)
+    for end, op in enumerate(ops, 1):
+        replay(queried, [op])
+        if op[0] == "query":
+            fresh = replay(StreamCertifier(params), ops[:end])
+            assert queried.finalize().to_json() == fresh.finalize().to_json()
