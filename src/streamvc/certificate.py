@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MultiplicityOverflowError, SpaceExceededError
-from .forest import CELL_DTYPES, ForestSketchBank, SketchStore, bank_bytes, check_vertex_count
+from .forest import ForestSketchBank, SketchStore, bank_bytes, check_vertex_count
 from .graph import EdgeSet, MultiGraph, UpdateEvent
+from .l0 import INDEX_PRIME
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
 
@@ -55,8 +56,9 @@ JSON_SCHEMA = 1
 # scratch arrays to about this many rows of n vertices and m edges
 FOREST_BLOCK = 64
 # a sketch count is a signed sum of live edge multiplicities, so their
-# total may not pass the largest count the store's count dtype holds
-MAX_LIVE_MULTIPLICITY = int(np.iinfo(CELL_DTYPES[0]).max)
+# total bounds every count: below INDEX_PRIME = 2^31 - 1, it fits int32 and
+# no nonzero count is a multiple of INDEX_PRIME, so the decoder can invert it
+MAX_LIVE_MULTIPLICITY = INDEX_PRIME - 1
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,7 @@ class StreamCertifier:
     """Single-pass dynamic-stream certifier: one sketch bank per subset.
 
     The banks' cells live in one SketchStore (three flat arrays, int32
-    counts and int64 index sums and fingerprints, and one sketch battery
+    counts and index sums and int64 fingerprints, and one sketch battery
     per round, see streamvc.forest), each bank a row of it and
     self.banks[i] a ForestSketchBank view of row i. Each event is folded
     into every bank that holds both endpoints in one vectorized pass,
@@ -322,8 +324,8 @@ class StreamCertifier:
     the sketch space) enforces stream legality, and live_multiplicity,
     the total multiplicity of the edges the stream holds, bounds every
     sketch count: an insertion that would push it past
-    MAX_LIVE_MULTIPLICITY (2^31 - 1, the int32 count's range) is refused
-    before any state changes.
+    MAX_LIVE_MULTIPLICITY (2^31 - 2, so that no count is a multiple of
+    the index sums' modulus 2^31 - 1) is refused before any state changes.
     """
 
     def __init__(self, params: CertParams, space_cap_bytes: int | None = None):

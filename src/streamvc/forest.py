@@ -11,14 +11,16 @@ samples; components at least halve per successful round, so
 ceil(log2 n) + 1 rounds suffice.
 
 State layout. The cells of every bank live in one SketchStore: three flat
-arrays, one per field, in CELL_DTYPES: int32 counts, int64 index sums and
-int64 fingerprints. A count is a signed sum of live edge multiplicities,
-so the certifier keeps their total below 2^31 (StreamCertifier.update);
-an index sum is at most that total times a pair index below n^2 / 2, so
-the store takes n <= MAX_N = 92 681 and the product stays below 2^63.
-Fingerprints are residues mod p = 2^61 - 1. Every sketch of the store has
-the same repetition count reps, a function of n and delta alone
-(sketch_delta), so every (member, round) block has the same width: the
+arrays, one per field, in CELL_DTYPES: int32 counts, int32 index sums and
+int64 fingerprints, 16 bytes a cell. A count is a signed sum of live edge
+multiplicities, so the certifier keeps their total below p' = 2^31 - 1
+(StreamCertifier.update), which also keeps every nonzero count invertible
+mod p'. Index sums are residues mod p' (l0.INDEX_PRIME): a one-sparse
+cell's residue names its pair as long as every pair index is below p',
+so the store takes n <= MAX_N = 65 536. Fingerprints are residues mod
+p = 2^61 - 1. Every sketch of the store has the same repetition count
+reps, a function of n and delta alone (sketch_delta), so every
+(member, round) block has the same width: the
 level-0 cell followed by each repetition's levels >= 1 in turn,
 1 + reps * (levels - 1) cells in all (l0.to_block). Level 0 admits every
 coordinate, so it is the same in every repetition and is kept once. A
@@ -30,7 +32,7 @@ ForestSketchBank is a view of one row: built directly, it makes a store
 that holds just that bank.
 
 Bytes. A bank costs what the store allocates for it (bank_bytes): its
-cells, at the 20 bytes of one cell in CELL_DTYPES, plus its column of
+cells, at the 16 bytes of one cell in CELL_DTYPES, plus its column of
 the _slot membership table, n entries of SLOT_DTYPE. That is affine in
 the member count, so the sum over the banks is the total member count
 times one member's cells plus one _slot column per bank, exactly the
@@ -73,7 +75,7 @@ universe. An extraction reads m such cells for its live test and retires
 at most 2m - 1 components (m members and at most m - 1 unions), each in
 a round whose battery is fresh to it, so it drops a nonempty cut with
 probability at most (3m - 1) U/p < 1.5 n^3 / p: below 10^-9 for n up to
-1000, and about 5 * 10^-4 at MAX_N. A dropped cut is no FAIL; it leaves
+1000, and about 1.8 * 10^-4 at MAX_N. A dropped cut is no FAIL; it leaves
 the forest short of a component's edges.
 
 An event is folded into all the banks holding both endpoints in one
@@ -87,7 +89,11 @@ component's [round, cell] sums: a live member starts as views of its own
 blocks, and a union stores the two components' sums added into new
 arrays, so a component is summed once, at the union that forms it, and
 extraction never writes into the store. Fingerprints are reduced mod p
-once per add: each operand is below p, so the sum fits int64. Counts
+once per add: each operand is below p, so the sum is below 2p and one
+unsigned compare-subtract reduces it. Index sums are added into int64
+and left unreduced, nonnegative sums of at most m residues, so every
+zero test of a union's cells reads them mod p' (l0.sample_cells); the
+live test reads the store's own cells, which fold keeps reduced. Counts
 stay int32, since every partial sum is a component's cut count, bounded
 by the live-multiplicity guard. A component that decodes EMPTY has an
 empty cut, so it would decode EMPTY in every later round: it leaves the
@@ -105,6 +111,7 @@ import numpy as np
 from .graph import EdgeSet, UnionFind, UpdateEvent, validate_event
 from .l0 import (
     EMPTY,
+    INDEX_PRIME,
     PRIME,
     L0Sketch,
     NonZeroIndex,
@@ -121,17 +128,29 @@ from .seeds import derive_seed
 
 # what SketchStore allocates: one array per cell field (count, index sum,
 # fingerprint) and the _slot table; bank_bytes charges the same dtypes
-CELL_DTYPES = (np.int32, np.int64, np.int64)
+CELL_DTYPES = (np.int32, np.int32, np.int64)
 SLOT_DTYPE = np.int64
-# largest n the store takes: pair indices stay below n^2 / 2 and counts
-# below 2^31, so index sums stay below n^2 / 2 * 2^31 <= 2^63
-MAX_N = math.isqrt(2**33)
+# largest n the store takes: the largest whose n (n - 1) / 2 pair indices
+# are all below INDEX_PRIME, so an index-sum residue names one pair (65 536)
+MAX_N = (1 + math.isqrt(1 + 8 * INDEX_PRIME)) // 2
 
 
 def check_vertex_count(n: int) -> None:
-    """Raise ValueError for an n above MAX_N, which the store cannot take."""
+    """Raise ValueError for an n above MAX_N, which the store cannot take.
+
+    Above MAX_N a pair index can reach INDEX_PRIME, so two pairs would
+    share one index-sum residue and a decode could not tell them apart.
+    """
     if n > MAX_N:
-        raise ValueError(f"n={n} exceeds {MAX_N}, above which index sums can overflow int64")
+        raise ValueError(
+            f"n={n} exceeds {MAX_N}, above which pair indices reach the index sums' "
+            f"modulus 2^31 - 1"
+        )
+
+
+def _mod_once(u: np.ndarray, p: int) -> np.ndarray:
+    """u mod p in place, for an unsigned array below 2p: u - p wraps around where u < p."""
+    return np.minimum(u, u - u.dtype.type(p), out=u)
 
 
 def pair_index(u: int, v: int, n: int) -> int:
@@ -180,7 +199,7 @@ def bank_bytes(n: int, member_count: int, delta: float) -> int:
     """Bytes SketchStore allocates for a bank, a pure function of its parameters.
 
     member_count * rounds blocks of block_cells(reps, levels) cells at the
-    20 bytes of one cell in CELL_DTYPES, plus the bank's column of the
+    16 bytes of one cell in CELL_DTYPES, plus the bank's column of the
     _slot table, n entries of SLOT_DTYPE. Affine in member_count: every
     bank of an n-vertex store has the same reps.
     """
@@ -306,8 +325,12 @@ class ForestSketchBank:
                     (ca, ia, fa), (cb, ib, fb) = (
                         sums.pop(x, None) or done.pop(x, None) or own(x) for x in (a, b)
                     )
-                    # each fingerprint is below p, so their sum fits int64
-                    sums[uf.find(a)] = ca + cb, ia + ib, (fa + fb) % PRIME
+                    # index sums add unreduced (sample_cells reads them mod
+                    # INDEX_PRIME); each fingerprint is below p, so their sum
+                    # is below 2p and one compare-subtract reduces it
+                    fp = fa + fb
+                    _mod_once(fp.view(np.uint64), PRIME)
+                    sums[uf.find(a)] = ca + cb, np.add(ia, ib, dtype=np.int64), fp
         return ForestExtraction(forest, failures, rounds_used)
 
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
@@ -325,6 +348,9 @@ class ForestSketchBank:
 class SketchStore:
     """The cells of many forest banks in three flat arrays, one per field.
 
+    16 bytes a cell: an int32 count, an int32 index sum mod 2^31 - 1 and
+    an int64 fingerprint mod 2^61 - 1 (CELL_DTYPES). n may be at most
+    MAX_N = 65 536, the largest whose pair indices stay below 2^31 - 1.
     masks is a [banks, n] boolean array whose row b marks the members of
     bank b. Every sketch has reps repetitions, repetition_count of
     sketch_delta(n, delta), so every (member, round) block is l0.to_block
@@ -400,21 +426,30 @@ class SketchStore:
         Every bank in hit must hold both endpoints, and lo < hi. Every
         block has one width, so the cells an event reaches within a
         member's rounds are one pattern of offsets, worked out once and
-        added to the base of each endpoint in every hit bank. The only
-        writer of cells, so it marks every hit bank dirty.
+        added to the base of each endpoint in every hit bank. Each cell
+        is a reduced residue and gains a reduced addend, the residue of
+        +-delta * idx mod INDEX_PRIME in its index sum and of +-delta *
+        z^idx mod PRIME in its fingerprint, so one compare-subtract
+        (_mod_once) reduces each sum. The only writer of cells, so it
+        marks every hit bank dirty.
         """
         self.dirty[hit] = True
         idx = pair_index(lo, hi, self.n)
         # depth[round, rep]: the deepest level the pair lands in
         depth = deepest_levels(self._round_sub_seeds, self._round_rep_seeds, idx, self.levels)
-        zpow = np.array([pow(z, idx, PRIME) for z in self.z], dtype=np.int64)
-        sign = np.array([delta, -delta])[:, None, None]  # lo's cells, then hi's
+        # the addends of lo's cells, then hi's: [endpoint] for index sums, [endpoint, round]
+        # for fingerprints
+        zpow = [pow(z, idx, PRIME) for z in self.z]
+        fp_step = np.array(
+            [[delta * x % PRIME for x in zpow], [-delta * x % PRIME for x in zpow]], dtype=np.uint64
+        )
+        idx_step = np.array([delta * idx % INDEX_PRIME, -delta * idx % INDEX_PRIME], dtype=np.uint32)
         # the cells the pair lands in within one member's rounds, as flat [round, cell] offsets
         pattern = np.flatnonzero(to_block(np.arange(self.levels) <= depth[:, :, None]))
-        dz = zpow[pattern // self._width]
         members = np.stack((self._slot[lo, hit], self._slot[hi, hit]))
         cells = (self._offset[hit] + members * self._member_stride)[:, :, None] + pattern
-        self.counts[cells] += sign
-        self.index_sums[cells] += sign * idx
-        fps = self.fingerprints
-        fps[cells] = (fps[cells] + sign * dz) % PRIME
+        self.counts[cells] += np.array([delta, -delta])[:, None, None]
+        isums, fps = self.index_sums, self.fingerprints
+        isums[cells] = _mod_once(isums[cells].view(np.uint32) + idx_step[:, None, None], INDEX_PRIME)
+        fp_sum = fps[cells].view(np.uint64) + fp_step[:, None, pattern // self._width]
+        fps[cells] = _mod_once(fp_sum, PRIME)

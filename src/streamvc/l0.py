@@ -1,17 +1,28 @@
 """Linear sketch of a signed integer vector with nonzero-coordinate sampling.
 
 The sketch keeps, per repetition and subsampling level, a one-sparse
-recovery cell (count, index_sum, fingerprint over the prime field
-p = 2^61 - 1). Level l of a repetition sees each coordinate with
-probability 2^-l via a seeded hash treated as fully random; levels are
-nested (a coordinate active at level l is active at all shallower
-levels). There are ceil(log2 U) + 2 levels over a universe of U
-coordinates: a vector has support at most U, so level ceil(log2 U)
+recovery cell (count, index_sum, fingerprint). The fingerprint is a
+residue mod p = 2^61 - 1 and the index sum a residue mod p' = 2^31 - 1
+(INDEX_PRIME), so it fits 31 bits. Level l of a repetition sees each
+coordinate with probability 2^-l via a seeded hash treated as fully
+random; levels are nested (a coordinate active at level l is active at
+all shallower levels). There are ceil(log2 U) + 2 levels over a universe
+of U coordinates: a vector has support at most U, so level ceil(log2 U)
 already expects at most one survivor, and deeper levels are nested
-subsets of it. A cell is decodable when it holds exactly one nonzero
-coordinate, which the fingerprint test count * z^(index_sum/count)
-certifies; false accepts need a fingerprint collision and are
-vanishingly rare.
+subsets of it.
+
+A cell is decodable when it holds exactly one nonzero coordinate. A cell
+holding count c at coordinate q alone has index sum c * q mod p', so the
+decoder reads q = index_sum * c^-1 mod p' (c = +-1 needs no inverse) and
+accepts it when q < U and the fingerprint equals c * z^q mod p. Every
+coordinate is below U <= p', so a one-sparse cell decodes to its own
+coordinate whenever its count is invertible mod p'; the certifier keeps
+every count below p' in absolute value (its live-multiplicity guard),
+and a count that is a multiple of p' never decodes. Only the fingerprint
+rejects a many-sparse cell whose q lands in range: c * z^q minus the
+cell's fingerprint is then a nonzero polynomial of degree below U in z,
+so a false accept has probability at most U/p per test, about 2^-46 at
+n = 256 (U = 32 640 pairs).
 
 Repetitions hash independently, and there are repetition_count(delta) =
 ceil(REP_SCALE * ln(1/delta)) of them. A repetition decodes whenever the
@@ -69,6 +80,8 @@ from .errors import SeedMismatchError
 from .seeds import derive_seed, mix_u64
 
 PRIME = (1 << 61) - 1
+# index sums are residues mod this prime, so they fit int32 (see the module docstring)
+INDEX_PRIME = (1 << 31) - 1
 
 # repetitions R = ceil(REP_SCALE * ln(1/delta)). A repetition decodes with
 # probability >= 2/3 (>= 0.625 with the level cut; see the module
@@ -186,8 +199,8 @@ class L0Sketch:
     def apply_masked(self, mask: np.ndarray, index: int, delta: int, zpow: int) -> None:
         """Raw cell update with a precomputed mask and power (the second half of update)."""
         self.counts += delta * mask
-        self.index_sums += (delta * index) * mask
-        self.fingerprints = (self.fingerprints + (delta * zpow) * mask) % PRIME
+        self.index_sums = (self.index_sums + (delta * index) % INDEX_PRIME * mask) % INDEX_PRIME
+        self.fingerprints = (self.fingerprints + (delta * zpow) % PRIME * mask) % PRIME
 
     # -- merge ---------------------------------------------------------
 
@@ -197,7 +210,7 @@ class L0Sketch:
             raise SeedMismatchError("sketches differ in seeds or dimensions")
         out = self.copy()
         out.counts += other.counts
-        out.index_sums += other.index_sums
+        out.index_sums = (out.index_sums + other.index_sums) % INDEX_PRIME
         out.fingerprints = (out.fingerprints + other.fingerprints) % PRIME
         return out
 
@@ -255,9 +268,11 @@ def sample_cells(counts, index_sums, fingerprints, z: int, universe: int):
 
     EMPTY when the level-0 cell is identically zero; otherwise the first
     cell, in block order, that passes the one-sparse verification wins
-    (a cell with a zero count never does); FAIL when none does.
+    (a cell with a zero count never does); FAIL when none does. Index
+    sums may be unreduced sums of residues, as a union of components
+    leaves them, so the zero test reads them mod INDEX_PRIME.
     """
-    if not (counts[0] or index_sums[0] or fingerprints[0]):
+    if not (counts[0] or index_sums[0] % INDEX_PRIME or fingerprints[0]):
         return EMPTY
     for cell in counts.nonzero()[0].tolist():
         found = _one_sparse(
@@ -286,11 +301,20 @@ def repetition_levels(counts, index_sums, fingerprints, reps: int, z: int, unive
 
 
 def _one_sparse(c: int, s: int, fp: int, z: int, universe: int):
-    """The coordinate a cell holds when it holds exactly one; None otherwise."""
-    if c == 0 or s % c != 0:
+    """The coordinate a cell holds when it holds exactly one; None otherwise.
+
+    s is the cell's index sum, any representative of its residue mod
+    INDEX_PRIME; q = s * c^-1 mod INDEX_PRIME.
+    """
+    if c == 1:
+        q = s % INDEX_PRIME
+    elif c == -1:
+        q = -s % INDEX_PRIME
+    elif c % INDEX_PRIME:
+        q = s * pow(c, -1, INDEX_PRIME) % INDEX_PRIME
+    else:
         return None
-    q = s // c
-    if not (0 <= q < universe):
+    if q >= universe:
         return None
     if (c % PRIME) * pow(z, q, PRIME) % PRIME != fp:
         return None

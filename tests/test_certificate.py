@@ -42,7 +42,7 @@ from streamvc.instances import (
     path_graph,
     random_disjointness,
 )
-from streamvc.l0 import PRIME, L0Sketch, level_count
+from streamvc.l0 import INDEX_PRIME, PRIME, L0Sketch, level_count
 from streamvc.oracle import is_k_connected
 from streamvc.seeds import derive_seed, subset_mask
 
@@ -277,7 +277,7 @@ def test_space_cap_aborts():
 
 
 def test_space_cap_checked_before_allocation():
-    params = CertParams(n=32, k=2, scale_c=25, seed=20, delta=0.01)
+    params = CertParams(n=32, k=2, scale_c=32, seed=20, delta=0.01)
     state = sum(bank_bytes(32, len(s), 0.01) for s in sample_subsets(params))
     tracemalloc.start()
     try:
@@ -343,7 +343,10 @@ def test_stream_cells_equal_reference_sketches(n, k):
                     block = got[pos, r]
                     assert np.all(want[:, 0] == block[0])
                     assert np.array_equal(block[1:].reshape(reps, levels - 1), want[:, 1:])
-    assert cells == len(store.counts) == len(store.fingerprints)
+    assert cells == len(store.counts) == len(store.index_sums) == len(store.fingerprints)
+    # 16 bytes a cell: the index sums are int32 residues mod INDEX_PRIME
+    assert sum(a.itemsize for a in (store.counts, store.index_sums, store.fingerprints)) == 16
+    assert 0 <= store.index_sums.min() and store.index_sums.max() < INDEX_PRIME
     if (n, k) == (8, 3):
         assert sizes == {0, 1, 2}  # empty and single-member banks are covered
 
@@ -365,7 +368,10 @@ def test_stream_state_is_linear_across_certifiers(n, k):
             certifier.update(e)
     a, b = (c.store for c in parts)
     assert np.array_equal(a.counts + b.counts, whole.store.counts)
-    assert np.array_equal(a.index_sums + b.index_sums, whole.store.index_sums)
+    # index sums are residues mod INDEX_PRIME, fingerprints mod PRIME
+    assert np.array_equal(
+        np.add(a.index_sums, b.index_sums, dtype=np.int64) % INDEX_PRIME, whole.store.index_sums
+    )
     assert np.array_equal(
         (a.fingerprints + b.fingerprints) % PRIME, whole.store.fingerprints
     )
@@ -445,7 +451,8 @@ def test_stream_forest_count_is_bounded_before_sampling(monkeypatch):
 
 
 def test_live_multiplicity_overflow_is_refused_before_any_cell_changes():
-    assert MAX_LIVE_MULTIPLICITY == 2**31 - 1
+    # below INDEX_PRIME = 2^31 - 1, so no nonzero count is a multiple of it
+    assert MAX_LIVE_MULTIPLICITY == 2**31 - 2 == INDEX_PRIME - 1
     events = gen_random_stream(8, 0.4, 0.3, seed=31)
     certifier = StreamCertifier(CertParams(n=8, k=1, seed=32, delta=0.1))
     for e in events:
@@ -470,9 +477,11 @@ def test_live_multiplicity_overflow_is_refused_before_any_cell_changes():
 
 
 def test_store_refuses_n_whose_index_sums_could_overflow():
+    # an index-sum residue names one pair only while every pair index is below INDEX_PRIME
     n = forest.MAX_N
-    assert n * n <= 2**33 < (n + 1) ** 2
-    assert (n * (n - 1) // 2 - 1) * MAX_LIVE_MULTIPLICITY < 2**63
+    assert n == 65_536
+    assert n * (n - 1) // 2 - 1 < INDEX_PRIME <= (n + 1) * n // 2 - 1
+    assert forest.SketchStore(n, np.zeros((1, n), dtype=bool), 0.1, 0).universe == n * (n - 1) // 2
     with pytest.raises(ValueError, match="index sums"):
         forest.SketchStore(n + 1, np.zeros((1, n + 1), dtype=bool), 0.1, 0)
 

@@ -450,7 +450,7 @@ def test_certify_huge_k_exit_2(tmp_path, capsys):
 
 
 def test_certify_live_multiplicity_overflow_exit_2(tmp_path, capsys, monkeypatch):
-    # complete(5) inserts 10 edges; a bound of 3 stands in for 2^31 - 1
+    # complete(5) inserts 10 edges; a bound of 3 stands in for 2^31 - 2
     monkeypatch.setattr(certificate, "MAX_LIVE_MULTIPLICITY", 3)
     path = tmp_path / "k5.stream"
     run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))

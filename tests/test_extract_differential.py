@@ -25,7 +25,11 @@ from streamvc.l0 import EMPTY, FAIL, PRIME, NonZeroIndex
 
 
 def _merged(cells, positions: list[int]):
-    """Cell-wise sum of the members' blocks; fingerprints mod PRIME."""
+    """Cell-wise sum of the members' blocks; fingerprints mod PRIME.
+
+    The int32 index sums sum into int64 (numpy's default accumulator) and
+    stay unreduced, as extraction leaves them.
+    """
     counts, isums = (c[positions].sum(axis=0) for c in cells[:2])
     fps = cells[2][positions]
     while len(fps) > 1:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamvc import forest as forest_mod
-from streamvc.certificate import CertParams, StreamCertifier
+from streamvc.certificate import MAX_LIVE_MULTIPLICITY, CertParams, StreamCertifier
 from streamvc.forest import (
     MAX_N,
     ForestSketchBank,
@@ -21,7 +21,7 @@ from streamvc.graph import (
     replay_stream,
 )
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import EMPTY, FAIL, PRIME, NonZeroIndex
+from streamvc.l0 import EMPTY, FAIL, INDEX_PRIME, PRIME, L0Sketch, NonZeroIndex, sample_cells
 from streamvc.seeds import derive_seed
 
 
@@ -58,6 +58,43 @@ def test_pair_from_index_inverts_sampled_indices_up_to_max_n():
         for idx in ends + rng.integers(0, total, size=2000).tolist():
             u, v = pair_from_index(idx, n)
             assert 0 <= u < v < n and pair_index(u, v, n) == idx
+
+
+def test_every_coordinate_decodes_at_every_count_with_wrapped_index_sums():
+    """Counts +-1, +-7 and +-(2^31 - 2) at each pair of a small universe decode to that pair.
+
+    The index sum c * idx mod INDEX_PRIME wraps for every negative count
+    and for the largest count at idx >= 2. Both endpoints' cells sum to
+    an empty cut although their index sums add, unreduced, to a multiple
+    of INDEX_PRIME, so the union decodes EMPTY.
+    """
+    n = 8
+    universe = n * (n - 1) // 2
+    store = ForestSketchBank(n, range(n), delta=0.1, seed=5).store
+    wrapped = 0
+    for idx in range(universe):
+        lo, hi = pair_from_index(idx, n)
+        for c in (1, -1, 7, -7, MAX_LIVE_MULTIPLICITY, -MAX_LIVE_MULTIPLICITY):
+            sign = 1 if c > 0 else -1
+            sk = L0Sketch(universe, 0.1, seed=idx).update(idx, c)
+            assert sk.sample() == NonZeroIndex(idx, sign)
+            assert sk.index_sums[0, 0] == c * idx % INDEX_PRIME
+            wrapped += sk.index_sums[0, 0] != c * idx
+            store.fold(np.array([0]), lo, hi, c)
+            counts, isums, fps = store.blocks(0)  # member v sits at position v
+            for r in range(store.rounds):
+                for v, s in ((lo, sign), (hi, -sign)):
+                    cells = counts[v, r], isums[v, r], fps[v, r]
+                    assert sample_cells(*cells, store.z[r], universe) == NonZeroIndex(idx, s)
+                union = (
+                    counts[lo, r] + counts[hi, r],
+                    np.add(isums[lo, r], isums[hi, r], dtype=np.int64),
+                    (fps[lo, r] + fps[hi, r]) % PRIME,
+                )
+                assert sample_cells(*union, store.z[r], universe) is EMPTY
+            store.fold(np.array([0]), lo, hi, -c)
+            assert not any(a.any() for a in (store.counts, store.index_sums, store.fingerprints))
+    assert wrapped > universe
 
 
 def test_pair_index_validation():

@@ -9,6 +9,7 @@ from streamvc.errors import SeedMismatchError
 from streamvc.l0 import (
     EMPTY,
     FAIL,
+    INDEX_PRIME,
     PRIME,
     REP_SCALE,
     L0Sketch,
@@ -259,10 +260,13 @@ def full_scan(sketch):
     for r in range(sketch.reps):
         for lv in np.flatnonzero(counts[r]).tolist():
             c, s = int(counts[r, lv]), int(isums[r, lv])
-            if s % c != 0 or not 0 <= s // c < sketch.universe:
+            if c % INDEX_PRIME == 0:
                 continue
-            if (c % PRIME) * pow(sketch.z, s // c, PRIME) % PRIME == int(fps[r, lv]):
-                return NonZeroIndex(s // c, 1 if c > 0 else -1)
+            q = s * pow(c, -1, INDEX_PRIME) % INDEX_PRIME  # index sums are residues mod p'
+            if q >= sketch.universe:
+                continue
+            if (c % PRIME) * pow(sketch.z, q, PRIME) % PRIME == int(fps[r, lv]):
+                return NonZeroIndex(q, 1 if c > 0 else -1)
     return FAIL
 
 
@@ -294,7 +298,7 @@ def test_level0_once_decode_equals_full_scan(case, delta, seed):
 def test_zero_level0_count_with_nonzero_index_sum_decodes_like_full_scan():
     for seed in range(200):
         s = sketch_of({2: 1, 5: -1}, 8, delta=0.3, seed=seed)
-        assert s.counts[0, 0] == 0 and s.index_sums[0, 0] == -3
+        assert s.counts[0, 0] == 0 and s.index_sums[0, 0] == INDEX_PRIME - 3
         out = s.sample()
         assert out == full_scan(s)
         assert out is FAIL or out in (NonZeroIndex(2, 1), NonZeroIndex(5, -1))
