@@ -169,18 +169,45 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
+        """Inverse of to_json; a malformed field or record raises ValueError naming it."""
         d = json.loads(text)
-        if d.get("schema") != JSON_SCHEMA:
-            raise ValueError(f"unsupported certificate schema {d.get('schema')!r}")
+        schema = d.get("schema") if isinstance(d, dict) else None
+        if schema != JSON_SCHEMA:
+            raise ValueError(f"unsupported certificate schema {schema!r}")
         params = CertParams(
-            n=d["n"], k=d["k"], scale_c=d["C"], seed=d["seed"], delta=d["delta"]
+            n=_json_field(d, "n", int),
+            k=_json_field(d, "k", int),
+            scale_c=_json_field(d, "C", int, float),
+            seed=_json_field(d, "seed", int),
+            delta=_json_field(d, "delta", float, type(None)),
         )
         return cls(
-            edges=EdgeSet(d["n"], [tuple(e) for e in d["edges"]]),
+            edges=EdgeSet(params.n, [tuple(e) for e in _json_records(d, "edges", 2)]),
             params=params,
-            forests=[ForestMeta(*record) for record in d["forests"]],
-            sketch_bytes=d["measured_sketch_bytes"],
+            forests=[ForestMeta(*record) for record in _json_records(d, "forests", 3)],
+            sketch_bytes=_json_field(d, "measured_sketch_bytes", int),
         )
+
+
+def _json_field(d: dict, key: str, *kinds: type):
+    """d[key] if present and of one of kinds (exactly: a bool is no int)."""
+    if key not in d:
+        raise ValueError(f"certificate lacks field {key!r}")
+    if type(d[key]) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"certificate field {key!r} must be {names}, got {d[key]!r}")
+    return d[key]
+
+
+def _json_records(d: dict, key: str, width: int) -> list[list[int]]:
+    """d[key] as a list of records, each a list of width ints."""
+    records = _json_field(d, key, list)
+    for record in records:
+        if type(record) is not list or len(record) != width or any(
+            type(x) is not int for x in record
+        ):
+            raise ValueError(f"certificate {key} record {record!r} must be {width} ints")
+    return records
 
 
 def _subset_blocks(params: CertParams):

@@ -56,9 +56,11 @@ class InsertionCertifier:
 
     def offer_event(self, e: UpdateEvent) -> bool:
         if e.delta != 1:
-            raise InsertionOnlyViolationError(
-                f"deletion ({e.i},{e.j},{e.delta}) in insertion-only mode"
-            )
+            if e.delta == -1:
+                raise InsertionOnlyViolationError(
+                    f"deletion ({e.i},{e.j},{e.delta}) in insertion-only mode"
+                )
+            validate_event(e, self.n)  # raises on any other delta
         return self.offer(e.i, e.j)
 
     def finalize(self) -> EdgeSet:

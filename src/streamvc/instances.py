@@ -161,31 +161,32 @@ def gen_random_stream(
     the included pairs with multiplicity two); delete_fraction of the
     inserted copies are deleted again, each deletion placed after its
     insertion so every prefix stays non-negative.
+
+    A (n, target_density, delete_fraction, seed) stream is byte-identical
+    across versions as long as this function makes the same rng calls in
+    the same order: one or two draws per pair, the permutation, the
+    victims, then one placement draw per victim. tests/test_instances.py
+    pins this with a reference copy of the earlier tuple-scan body and by
+    sha256. Each deletion costs one C-level scan (list.index) and one
+    list.insert over the ids.
     """
     if not (0.0 <= target_density <= 1.0) or not (0.0 <= delete_fraction <= 1.0):
         raise ValueError("fractions must lie in [0, 1]")
     rng = np.random.default_rng(derive_seed(seed, "stream", n))
-    inserts: list[UpdateEvent] = []
+    pairs: list[tuple[int, int]] = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < target_density:
-                inserts.append(UpdateEvent(u, v, 1))
+                pairs.append((u, v))
                 if rng.random() < DOUBLE_EDGE_PROB:
-                    inserts.append(UpdateEvent(u, v, 1))
-    order = rng.permutation(len(inserts))
-    # track insert copies by id so each deletion lands after its own copy
-    tagged: list[tuple[UpdateEvent, int]] = [(inserts[i], int(i)) for i in order]
-    num_deletes = int(round(delete_fraction * len(inserts)))
-    victims = (
-        rng.choice(len(inserts), size=num_deletes, replace=False).tolist()
-        if num_deletes
-        else []
-    )
-    for victim in victims:
-        pos = next(idx for idx, (_, tag) in enumerate(tagged) if tag == victim)
-        at = int(rng.integers(pos + 1, len(tagged) + 1))
-        tagged.insert(at, (UpdateEvent(inserts[victim].i, inserts[victim].j, -1), -1))
-    return [e for e, _ in tagged]
+                    pairs.append((u, v))
+    # insert ids in stream order; the deletion of insert i is stored as ~i
+    order: list[int] = rng.permutation(len(pairs)).tolist()
+    num_deletes = int(round(delete_fraction * len(pairs)))
+    if num_deletes:
+        for victim in rng.choice(len(pairs), size=num_deletes, replace=False).tolist():
+            order.insert(int(rng.integers(order.index(victim) + 1, len(order) + 1)), ~victim)
+    return [UpdateEvent(*pairs[i], 1) if i >= 0 else UpdateEvent(*pairs[~i], -1) for i in order]
 
 
 def legal_shuffle(events: Sequence[UpdateEvent], seed: int) -> list[UpdateEvent]:

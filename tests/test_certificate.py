@@ -576,6 +576,27 @@ def test_certificate_json_schema_and_roundtrip():
         Certificate.from_json(json.dumps({**d, "schema": 2}))
 
 
+def test_malformed_certificate_json_names_the_field():
+    params = CertParams(n=6, k=2, scale_c=5, seed=22)
+    d = build_certificate_offline(complete(6), params).to_json_dict()
+    missing_forests = {key: value for key, value in d.items() if key != "forests"}
+    cases = [
+        (missing_forests, "lacks field 'forests'"),
+        ({**d, "forests": [[6, 0]] + d["forests"][1:]}, r"forests record \[6, 0\]"),
+        ({**d, "n": "6"}, "field 'n' must be int"),
+        ({**d, "edges": [[0, 1, 2]]}, r"edges record \[0, 1, 2\]"),
+        ({**d, "delta": "0.5"}, "field 'delta' must be float or NoneType"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Certificate.from_json(json.dumps(bad))
+    # the schema check still comes first
+    with pytest.raises(ValueError, match="unsupported certificate schema 2"):
+        Certificate.from_json(json.dumps({**missing_forests, "schema": 2}))
+    with pytest.raises(ValueError, match="unsupported certificate schema None"):
+        Certificate.from_json("[]")
+
+
 def test_low_connectivity_edges_captured_smoke():
     # a bridge edge has one disjoint path between endpoints; it must land in H
     g = EdgeSet(9, complete(4).edges)

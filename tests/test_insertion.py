@@ -68,6 +68,14 @@ def test_deletions_rejected():
         ins.offer_event(UpdateEvent(0, 1, -1))
 
 
+@pytest.mark.parametrize("delta", [2, 0, -2])
+def test_non_unit_delta_is_invalid_not_a_deletion(delta):
+    ins = InsertionCertifier(4, 1)
+    with pytest.raises(ValueError, match="delta must be"):
+        ins.offer_event(UpdateEvent(0, 1, delta))
+    assert ins.offers == 0 and len(ins.finalize()) == 0
+
+
 def test_complete_graph_any_order_k2(rng):
     g = complete(9)
     for trial in range(3):

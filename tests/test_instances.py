@@ -1,7 +1,11 @@
+import hashlib
+
+import numpy as np
 import pytest
 
-from streamvc.graph import replay_stream
+from streamvc.graph import UpdateEvent, replay_stream
 from streamvc.instances import (
+    DOUBLE_EDGE_PROB,
     DisjointnessInstance,
     complete_bipartite,
     edges_to_stream,
@@ -19,6 +23,7 @@ from streamvc.oracle import (
     removal_disconnects,
     vertex_connectivity,
 )
+from streamvc.seeds import derive_seed
 
 from conftest import brute_vertex_connectivity
 
@@ -141,6 +146,59 @@ def test_random_stream_deterministic():
     assert gen_random_stream(12, 0.4, 0.3, seed=8) == gen_random_stream(
         12, 0.4, 0.3, seed=8
     )
+
+
+def _reference_random_stream(n, target_density, delete_fraction, seed):
+    """gen_random_stream as it was written before its ids-only rewrite.
+
+    Kept verbatim (one scan over (event, tag) tuples per deletion) so the
+    test below catches any change to the rng calls or their order.
+    """
+    rng = np.random.default_rng(derive_seed(seed, "stream", n))
+    inserts = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < target_density:
+                inserts.append(UpdateEvent(u, v, 1))
+                if rng.random() < DOUBLE_EDGE_PROB:
+                    inserts.append(UpdateEvent(u, v, 1))
+    order = rng.permutation(len(inserts))
+    tagged = [(inserts[i], int(i)) for i in order]
+    num_deletes = int(round(delete_fraction * len(inserts)))
+    victims = (
+        rng.choice(len(inserts), size=num_deletes, replace=False).tolist()
+        if num_deletes
+        else []
+    )
+    for victim in victims:
+        pos = next(idx for idx, (_, tag) in enumerate(tagged) if tag == victim)
+        at = int(rng.integers(pos + 1, len(tagged) + 1))
+        tagged.insert(at, (UpdateEvent(inserts[victim].i, inserts[victim].j, -1), -1))
+    return [e for e, _ in tagged]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("delete_fraction", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_random_stream_matches_reference_generator(density, delete_fraction, seed):
+    for n in (0, 1, 2, 9, 33):
+        got = gen_random_stream(n, density, delete_fraction, seed)
+        assert got == _reference_random_stream(n, density, delete_fraction, seed)
+        assert all(type(x) is int for e in got for x in e)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (256, "eac3518730d5e50ffe232a665bdcfd170eda655a2293130d998101a31a04f8d1"),
+        (512, "031498ecba1af3cceb2f46c7b21c97eca950114a58f9e6dcfb1242b12074b08e"),
+    ],
+)
+def test_random_stream_bytes_are_pinned(n, digest):
+    # both digests were taken from the generator before its ids-only rewrite
+    events = gen_random_stream(n, 0.3, 0.2, seed=7)
+    text = "".join(f"{e.i} {e.j} {e.delta:+d}\n" for e in events)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_legal_shuffle_preserves_multiset_and_legality():
