@@ -4,8 +4,11 @@
 
 Runs the dynamic certifier of the README library quick start (C = 20,
 delta = 0.01, seed 1, over gen_random_stream(n, 0.3, 0.2, seed=7)) at the
-given n and k, and finalizes once. Every decode of a component with a
-nonempty cut is re-read one repetition at a time (l0.repetition_levels):
+given n and k, and finalizes once, observing l0.sample_rows, the decoder
+of the batched extraction. Every decode of a component with a nonempty
+cut is re-read in full, its block summed over the component's members by
+the extraction's own reader, one repetition at a time
+(l0.repetition_levels):
 a repetition decodes when one of its cells (the shared level-0 cell, then
 its levels >= 1 in order) passes the one-sparse test, and the first such
 cell is the level it decodes at. Prints one JSON object:
@@ -35,10 +38,10 @@ import json
 
 import numpy as np
 
-from streamvc import forest
+from streamvc import l0
 from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import EMPTY, repetition_levels
+from streamvc.l0 import ROW_EMPTY, repetition_levels
 
 # the README library quick start
 SCALE_C = 20.0
@@ -62,20 +65,22 @@ def main(argv=None) -> None:
         certifier.update(e)
 
     reads: list[np.ndarray] = []
-    decode = forest.sample_cells
+    decode = l0.sample_rows
     levels, reps = certifier.store.levels, certifier.store.reps
 
-    def observed(counts, index_sums, fingerprints, z, universe):
-        outcome = decode(counts, index_sums, fingerprints, z, universe)
-        if outcome is not EMPTY:
+    def observed(read, rows, passes, z, universe):
+        found, sign = decode(read, rows, passes, z, universe)
+        block = slice(passes[0].start, passes[-1].stop)
+        cells = read(np.flatnonzero(found != ROW_EMPTY), block)
+        for counts, index_sums, fingerprints in zip(*cells):
             reads.append(repetition_levels(counts, index_sums, fingerprints, reps, z, universe))
-        return outcome
+        return found, sign
 
-    forest.sample_cells = observed
+    l0.sample_rows = observed
     try:
         certificate = certifier.finalize()
     finally:
-        forest.sample_cells = decode
+        l0.sample_rows = decode
     ok = [levels >= 0 for levels in reads]  # per decode, which repetitions decode
     share = np.array([d.mean() for d in ok])
     first = np.array([d.argmax() + 1 for d in ok if d.any()], dtype=np.int64)

@@ -169,7 +169,13 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        """Inverse of to_json; a malformed field or record raises ValueError naming it."""
+        """Inverse of to_json; a malformed or inconsistent field raises ValueError naming it.
+
+        Beyond each field's type, every forest record must have 0 <= size
+        <= n and failures >= 0, there must be one record per forest
+        (r == len(forests) == params.num_forests), and forest_failures
+        and sum_Vi must equal what the records give.
+        """
         d = json.loads(text)
         schema = d.get("schema") if isinstance(d, dict) else None
         if schema != JSON_SCHEMA:
@@ -181,12 +187,32 @@ class Certificate:
             seed=_json_field(d, "seed", int),
             delta=_json_field(d, "delta", float, type(None)),
         )
-        return cls(
+        forests = []
+        for record in _json_records(d, "forests", 3):
+            if not (0 <= record[0] <= params.n and record[1] >= 0):
+                raise ValueError(
+                    f"certificate forests record {record!r} must have 0 <= size <= n "
+                    f"and failures >= 0"
+                )
+            forests.append(ForestMeta(*record))
+        cert = cls(
             edges=EdgeSet(params.n, [tuple(e) for e in _json_records(d, "edges", 2)]),
             params=params,
-            forests=[ForestMeta(*record) for record in _json_records(d, "forests", 3)],
+            forests=forests,
             sketch_bytes=_json_field(d, "measured_sketch_bytes", int),
         )
+        r = params.num_forests
+        for key, got, want in (
+            ("r", _json_field(d, "r", int), r),
+            ("forests", len(forests), r),
+            ("forest_failures", _json_field(d, "forest_failures", int), cert.forest_failures),
+            ("sum_Vi", _json_field(d, "sum_Vi", int), cert.sum_subset_sizes),
+        ):
+            if got != want:
+                raise ValueError(
+                    f"certificate field {key!r} gives {got}, but its params and records give {want}"
+                )
+        return cert
 
 
 def _json_field(d: dict, key: str, *kinds: type):
@@ -331,9 +357,9 @@ class StreamCertifier:
     per round, see streamvc.forest), each bank a row of it and
     self.banks[i] a ForestSketchBank view of row i. Each event is folded
     into every bank that holds both endpoints in one vectorized pass,
-    which marks those banks dirty in the store. The certifier keeps each
-    bank's latest ForestExtraction, and finalize re-extracts only the
-    dirty banks.
+    which marks those banks dirty in the store. Each bank view keeps its
+    latest ForestExtraction, and finalize re-extracts only the dirty
+    banks, in one batched pass.
 
     An n above forest.MAX_N, which the store cannot take, and a forest
     count above max_forests(n) (as the offline builder does) are rejected
@@ -380,8 +406,6 @@ class StreamCertifier:
         sketch_seed = derive_seed(params.seed, "sketch")
         self.store = SketchStore(n, np.concatenate(blocks), delta, sketch_seed)
         self.banks = [ForestSketchBank.view(self.store, b) for b in range(len(self._subset_seeds))]
-        # each bank's latest ForestExtraction; finalize refreshes the store's dirty banks
-        self._extractions = [None] * len(self.banks)
         self._graph = MultiGraph(n)
         self.live_multiplicity = 0
 
@@ -405,22 +429,25 @@ class StreamCertifier:
 
         Re-extracts only the banks marked dirty in the store, those an
         event reached since the previous call (every bank on the first
-        call), keeps their ForestExtractions in place of the old ones and
-        clears the marks. An extraction is a pure function of its bank's
-        cells and the store's batteries, so a kept one equals a fresh
-        extraction. H and the forest records are then built from the r
+        call), all in one batched ForestSketchBank.extract call, which
+        keeps each bank's new ForestExtraction on its view in place of
+        the old one; then clears the marks. An extraction is a pure
+        function of its bank's cells and the store's batteries, so a kept
+        one equals a fresh extraction. H and the forest records are then built from the r
         kept extractions. Their forests hold at most sum(|V_i| - 1)
         edges, query-side state like the validation MultiGraph, and are
         not charged to the sketch bytes.
         """
         store = self.store
-        for b in np.flatnonzero(store.dirty).tolist():
-            self._extractions[b] = self.banks[b].extract()
+        dirty = [self.banks[b] for b in np.flatnonzero(store.dirty).tolist()]
+        if dirty:
+            dirty[0].extract(*dirty[1:])
         store.dirty[:] = False
         kept: set[tuple[int, int]] = set()
         metas: list[ForestMeta] = []
         sizes = store.sizes.tolist()
-        for extraction, size, seed in zip(self._extractions, sizes, self._subset_seeds):
+        for bank, size, seed in zip(self.banks, sizes, self._subset_seeds):
+            extraction = bank.extraction
             kept.update(extraction.forest.edges)
             metas.append(ForestMeta(size=size, failures=extraction.sample_failures, seed=seed))
         h = EdgeSet(self.params.n, kept)

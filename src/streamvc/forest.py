@@ -82,24 +82,29 @@ An event is folded into all the banks holding both endpoints in one
 vectorized pass: one hash over [round, rep], one z^index per round, one
 pattern of the reached cells' offsets within a member's rounds, and one
 fancy-indexed add per field over both endpoints of every hit bank.
-Extraction finds the live members once, those whose round-0 level-0
-cell is nonzero; a member that is not live samples EMPTY in every round
-and is never decoded. It keeps one map from each component's root to the
-component's [round, cell] sums: a live member starts as views of its own
-blocks, and a union stores the two components' sums added into new
-arrays, so a component is summed once, at the union that forms it, and
-extraction never writes into the store. Fingerprints are reduced mod p
-once per add: each operand is below p, so the sum is below 2p and one
-unsigned compare-subtract reduces it. Index sums are added into int64
-and left unreduced, nonnegative sums of at most m residues, so every
-zero test of a union's cells reads them mod p' (l0.sample_cells); the
-live test reads the store's own cells, which fold keeps reduced. Counts
-stay int32, since every partial sum is a component's cut count, bounded
-by the live-multiplicity guard. A component that decodes EMPTY has an
-empty cut, so it would decode EMPTY in every later round: it leaves the
-map for good. A union that touches a retired root, which takes a false
-decode, takes that root's sums back. Extraction stops once the rounds
-run out or at most one component is left in the map.
+Extraction runs over many banks of one store at once (SketchStore.forests,
+entered through ForestSketchBank.extract): one batched pass per round
+over every (bank, member) row. It starts from the live members, those
+whose round-0 level-0 cell is nonzero; a member that is not live samples
+EMPTY in every round and is never decoded. Each round labels every row
+by its component's root, pointer-jumping the parent array of one
+graph.UnionFind over all rows, and decodes every component still to be
+decoded with one call of l0.sample_rows. Components are not kept summed:
+a component's round-r cells are summed afresh from its members' blocks,
+grouped by a stable sort, with np.add.reduceat, counts in int64, index
+sums mod p' and fingerprints mod p (their low 31 and high 30 bits added
+apart and folded with 2^61 = 1 mod p). Sums are associative, so these are
+the cells of the component's summed incidence vector, and extraction
+never writes into the store. They are read one repetition at a time: level
+0 and repetition 0 first, then each further repetition only for the
+components no earlier one decoded, so the scratch holds at most one
+repetition's cells of every member. Each bank's sampled edges are then
+unioned in ascending order of the sampling components' roots, the order
+that fixes which edges the forest keeps. A component that decodes EMPTY
+has an empty cut, so it would decode EMPTY in every later round: it is
+not decoded again unless a union, which takes a false decode, absorbs it.
+A bank stops once the rounds run out or at most one of its components is
+left to decode.
 """
 from __future__ import annotations
 
@@ -108,17 +113,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import l0
 from .graph import EdgeSet, UnionFind, UpdateEvent, validate_event
-from .l0 import (
-    EMPTY,
+# sample_cells is not called here; bench/tracer.py times it wherever it is bound
+from .l0 import (  # noqa: F401
     INDEX_PRIME,
     PRIME,
+    ROW_EMPTY,
+    ROW_FAIL,
     L0Sketch,
-    NonZeroIndex,
     block_cells,
     deepest_levels,
     from_block,
     level_count,
+    repetition_cells,
     repetition_count,
     sample_cells,
     sketch_seeds,
@@ -133,6 +141,7 @@ SLOT_DTYPE = np.int64
 # largest n the store takes: the largest whose n (n - 1) / 2 pair indices
 # are all below INDEX_PRIME, so an index-sum residue names one pair (65 536)
 MAX_N = (1 + math.isqrt(1 + 8 * INDEX_PRIME)) // 2
+_LOW30, _LOW31 = (1 << 30) - 1, (1 << 31) - 1
 
 
 def check_vertex_count(n: int) -> None:
@@ -163,16 +172,27 @@ def pair_index(u: int, v: int, n: int) -> int:
 
 
 def pair_from_index(idx: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_index, in closed form.
-
-    Counted from the last pair, m = total - 1 - idx lies in row
-    j = n - 2 - u from the end, which holds j + 1 pairs and starts at
-    j (j + 1) / 2, so j = floor((sqrt(8 m + 1) - 1) / 2).
-    """
+    """Inverse of pair_index: a one-element call of pairs_from_indices."""
     total = n * (n - 1) // 2
     if not (0 <= idx < total):
         raise ValueError(f"pair index {idx} not in 0..{total - 1}")
-    u = n - 2 - (math.isqrt(8 * (total - 1 - idx) + 1) - 1) // 2
+    u, v = pairs_from_indices(np.array([idx], dtype=np.int64), n)
+    return int(u[0]), int(v[0])
+
+
+def pairs_from_indices(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v), u < v, of an int64 array of pair indices below n (n - 1) / 2.
+
+    Counted from the last pair, m = total - 1 - idx lies in row
+    j = n - 2 - u from the end, which holds j + 1 pairs and starts at
+    j (j + 1) / 2, so j = floor((sqrt(8 m + 1) - 1) / 2). The square root
+    is taken in float64 and corrected to the exact integer one.
+    """
+    x = 8 * (n * (n - 1) // 2 - 1 - idx) + 1
+    root = np.sqrt(x).astype(np.int64)
+    root -= root * root > x
+    root += (root + 1) * (root + 1) <= x
+    u = n - 2 - (root - 1) // 2
     return u, idx - u * (2 * n - u - 1) // 2 + u + 1
 
 
@@ -215,7 +235,7 @@ class ForestExtraction:
 
     sample_failures counts the decodes that failed or named a pair outside
     the members. rounds_used counts the rounds that decoded something: a
-    round runs only while at least two components are left in the map,
+    round runs only while at least two components are left to decode,
     those that have not decoded EMPTY, so a retired component is never
     decoded again and the rounds stop once all but one are retired.
     """
@@ -231,6 +251,8 @@ class ForestSketchBank:
     Built directly, a bank makes a store of its own that holds just this
     bank and is seeded with the bank's seed; the dynamic certifier's
     banks are views (ForestSketchBank.view) of its one shared store.
+    extraction is the bank's latest ForestExtraction (None before the
+    first), kept by extract.
     """
 
     def __init__(self, n: int, members, delta: float, seed: int):
@@ -242,12 +264,13 @@ class ForestSketchBank:
         mask[0, members] = True
         self.store = SketchStore(n, mask, delta, seed)
         self.index = 0
+        self.extraction: ForestExtraction | None = None
 
     @classmethod
     def view(cls, store: "SketchStore", index: int) -> "ForestSketchBank":
         """The bank in row index of store."""
         bank = cls.__new__(cls)
-        bank.store, bank.index = store, index
+        bank.store, bank.index, bank.extraction = store, index, None
         return bank
 
     @property
@@ -268,70 +291,19 @@ class ForestSketchBank:
             store.fold(np.array([self.index]), lo, hi, e.delta)
         return self
 
-    def extract(self) -> ForestExtraction:
-        """Recover a spanning forest of the induced subgraph on the members.
+    def extract(self, *others: "ForestSketchBank") -> ForestExtraction:
+        """Recover spanning forests of this bank and of others, views of the same store.
 
-        Contraction rounds over the live members, those whose round-0
-        level-0 cell is nonzero: every other member's incidence vector
-        is zero, except with probability at most U/p (the fingerprint
-        bound), so it samples EMPTY in every round and is never decoded.
-        Each round decodes the round-r sums of every component still in
-        the map, in root order, and unions the sampled edges; a union
-        stores the sum of its two components' sums under the new root.
-        A component that decodes EMPTY has an empty cut (except with
-        probability at most U/p) and leaves the map for good, while a
-        failed decode may still succeed on a later round's independent
-        battery. Stops once the rounds run out or at most one component
-        is left in the map. Sample failures (and any decode whose
-        endpoints fall outside the member set, which the fingerprint
-        makes astronomically unlikely) are counted, not fatal. Reads the
-        store and never writes it.
+        One batched pass over every bank given (SketchStore.forests):
+        each bank's ForestExtraction is kept as its `extraction`, and this
+        bank's is returned. Reads the store and never writes it.
         """
-        store = self.store
-        blocks = store.blocks(self.index)
-        slot = store._slot[:, self.index].tolist()
-        live = np.flatnonzero(np.any([c[:, 0, 0] for c in blocks], axis=0))
-
-        def own(pos):  # a member's [round, cell] counts, index sums and fingerprints
-            return tuple(c[pos] for c in blocks)
-
-        sums = {pos: own(pos) for pos in live.tolist()}  # root -> its component's sums
-        done = {}  # the roots that decoded EMPTY, and their sums
-        uf = UnionFind(int(store.sizes[self.index]))
-        forest = EdgeSet(store.n)
-        failures = rounds_used = 0
-        for r in range(store.rounds):
-            if len(sums) <= 1:
-                break
-            rounds_used += 1
-            sampled: list[tuple[int, int]] = []
-            for root in sorted(sums):
-                outcome = sample_cells(*(s[r] for s in sums[root]), store.z[r], store.universe)
-                if outcome is EMPTY:
-                    done[root] = sums.pop(root)
-                    continue
-                if isinstance(outcome, NonZeroIndex):
-                    u, v = pair_from_index(outcome.index, store.n)
-                    if slot[u] >= 0 and slot[v] >= 0:
-                        sampled.append((u, v))
-                        continue
-                failures += 1
-            for u, v in sampled:
-                a, b = uf.find(slot[u]), uf.find(slot[v])
-                if uf.union(a, b):
-                    forest.add(u, v)
-                    # a done root rejoins only after a false decode, and a
-                    # member that is not live joins only through a sampled edge
-                    (ca, ia, fa), (cb, ib, fb) = (
-                        sums.pop(x, None) or done.pop(x, None) or own(x) for x in (a, b)
-                    )
-                    # index sums add unreduced (sample_cells reads them mod
-                    # INDEX_PRIME); each fingerprint is below p, so their sum
-                    # is below 2p and one compare-subtract reduces it
-                    fp = fa + fb
-                    _mod_once(fp.view(np.uint64), PRIME)
-                    sums[uf.find(a)] = ca + cb, np.add(ia, ib, dtype=np.int64), fp
-        return ForestExtraction(forest, failures, rounds_used)
+        banks = (self, *others)
+        if any(bank.store is not self.store for bank in others):
+            raise ValueError("banks extracted together must be views of one store")
+        for bank, extraction in zip(banks, self.store.forests([b.index for b in banks])):
+            bank.extraction = extraction
+        return self.extraction
 
     def sketch(self, vertex: int, round_: int) -> L0Sketch:
         """A copy of one member's round sketch, as an L0Sketch (tests, demos)."""
@@ -453,3 +425,111 @@ class SketchStore:
         isums[cells] = _mod_once(isums[cells].view(np.uint32) + idx_step[:, None, None], INDEX_PRIME)
         fp_sum = fps[cells].view(np.uint64) + fp_step[:, None, pattern // self._width]
         fps[cells] = _mod_once(fp_sum, PRIME)
+
+    def forests(self, banks) -> list[ForestExtraction]:
+        """Spanning forests of the induced subgraphs of the given banks, in one pass.
+
+        One ForestExtraction per bank, in the order given. Contraction
+        rounds run over every (bank, member) row at once, each bank's
+        members numbered from its first row (module docstring,
+        extraction): every round sums and decodes each bank's components
+        still to be decoded with one l0.sample_rows call, then unions
+        each bank's sampled edges in ascending order of the sampling
+        components' roots. Sample failures (and any decode whose
+        endpoints fall outside its bank's members, which the fingerprint
+        makes astronomically unlikely) are counted, not fatal. Reads the
+        cells and never writes them.
+        """
+        banks = np.asarray(banks, dtype=np.int64)
+        sizes = self.sizes[banks]
+        first = np.cumsum(sizes) - sizes  # each bank's first row
+        rows = int(sizes.sum())
+        row_bank = np.repeat(np.arange(len(banks)), sizes)  # position in banks
+        # each row's round-0 level-0 cell
+        member = np.arange(rows) - first[row_bank]
+        base = self._offset[banks][row_bank] + member * self._member_stride
+        fields = self.counts, self.index_sums, self.fingerprints
+        # read at each root: its component is decoded in the next round
+        decode_next = np.any([a[base] != 0 for a in fields], axis=0)
+        uf = UnionFind(rows)
+        edges: list[list[tuple[int, int]]] = [[] for _ in banks]
+        failures = np.zeros(len(banks), dtype=np.int64)
+        rounds_used = np.zeros(len(banks), dtype=np.int64)
+        running = np.ones(len(banks), dtype=bool)
+        passes = repetition_cells(self.reps, self.levels)
+        joined: list[int] = []  # a row of each union of the last round
+        for r in range(self.rounds):
+            label = _roots(np.array(uf.parent, dtype=np.int64))
+            decode_next[label[joined]] = True
+            roots = decode_next & (label == np.arange(rows))
+            running &= np.bincount(row_bank[roots], minlength=len(banks)) >= 2
+            if not running.any():
+                break
+            rounds_used += running
+            comps = np.flatnonzero(roots & running[row_bank])
+            # the members of each component to decode, grouped by component
+            comp_of_root = np.full(rows, -1)
+            comp_of_root[comps] = np.arange(len(comps))
+            member_comp = comp_of_root[label]
+            members = np.flatnonzero(member_comp >= 0)
+            members = members[np.argsort(member_comp[members], kind="stable")]
+            member_comp, member_cell = member_comp[members], base[members] + r * self._width
+
+            def read(todo, cells):
+                chosen = np.zeros(len(comps), dtype=bool)
+                chosen[todo] = True
+                picked = chosen[member_comp]
+                at = member_cell[picked][:, None] + np.arange(cells.start, cells.stop)
+                block = tuple(a[at] for a in fields)
+                if len(at) == len(todo):  # one member each
+                    return block
+                starts = np.flatnonzero(np.diff(member_comp[picked], prepend=-1))
+                return _component_sums(*block, starts)
+
+            # looked up on l0 at call time: the one decoder, also behind l0.sample_cells
+            found, _ = l0.sample_rows(read, len(comps), passes, self.z[r], self.universe)
+            comp_bank = row_bank[comps]
+            decode_next[comps[found == ROW_EMPTY]] = False
+            failures += np.bincount(comp_bank[found == ROW_FAIL], minlength=len(banks))
+            decoded = found >= 0
+            u, v = pairs_from_indices(found[decoded], self.n)
+            at, owner = banks[comp_bank[decoded]], comp_bank[decoded]
+            su, sv = self._slot[u, at], self._slot[v, at]
+            inside = (su >= 0) & (sv >= 0)
+            failures += np.bincount(owner[~inside], minlength=len(banks))
+            ends = first[owner] + su, first[owner] + sv  # the rows of each pair's endpoints
+            joined = []
+            for a, b, i, x, y in zip(*(z[inside].tolist() for z in (*ends, owner, u, v))):
+                if uf.union(a, b):
+                    edges[i].append((x, y))
+                    joined.append(a)
+        return [
+            ForestExtraction(EdgeSet(self.n, e), f, used)
+            for e, f, used in zip(edges, failures.tolist(), rounds_used.tolist())
+        ]
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Every node's root under a parent array, by pointer jumping."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
+
+
+def _component_sums(counts, index_sums, fingerprints, starts):
+    """Cell-wise sums of the runs of rows from each of starts on.
+
+    Counts add in int64, index sums mod p' and fingerprints mod p.
+
+    Fingerprints below p = 2^61 - 1 add as their low 31 and high 30 bits
+    apart; with 2^61 = 1 mod p the high sum h contributes (h >> 30) +
+    (h mod 2^30) 2^31, and the total stays below 2^63 for fewer than 2^31
+    rows.
+    """
+    c = np.add.reduceat(counts, starts, axis=0, dtype=np.int64)
+    s = np.add.reduceat(index_sums, starts, axis=0, dtype=np.int64) % INDEX_PRIME
+    lo = np.add.reduceat(fingerprints & _LOW31, starts, axis=0)
+    hi = np.add.reduceat(fingerprints >> 31, starts, axis=0)
+    return c, s, ((hi >> 30) + ((hi & _LOW30) << 31) + lo) % PRIME

@@ -62,11 +62,23 @@ one width; since repetition seeds are a prefix, the block of a sketch
 with fewer repetitions is still a prefix of the block of one with more,
 so a smaller count keeps every decode that succeeds within it. Banks
 share this module's seed derivation (sketch_seeds), level rule
-(level_count, deepest_levels), block layout and decoder (sample_cells),
-which reads a block in storage order; L0Sketch.sample hands it to_block
-of its cells; repetition_levels reads a block one repetition at a time,
-to measure the decode rate. What the banks' cells cost in bytes is
-counted where they are allocated, in streamvc.forest.
+(level_count, deepest_levels), block layout and decoder.
+
+There is one decoder, sample_rows, vectorized over many blocks: it reads
+them in storage order, one pass of cells at a time (repetition_cells:
+level 0 and repetition 0, then each further repetition), and reads a
+pass only for the blocks no earlier pass decoded, through a callback, so
+a caller that sums blocks on demand (forest extraction) sums no more
+than decoding reads. Every cell of a pass is tested at once: the index
+sum divided by the count (an exact integer division while |count| U <
+p', a Fermat inverse mod p' otherwise), the range test q < U and the
+fingerprint test c z^q = fp mod p, with z^q taken from a table of 4-bit
+windows of q and a 61-bit multiply split at bit 31. sample_cells is its
+one-row call over a whole block, which L0Sketch.sample hands to_block of
+its cells; repetition_levels applies its one-sparse test to every cell
+of a block and reads the result one repetition at a time, to measure the
+decode rate. What the banks' cells cost in bytes is counted where they
+are allocated, in streamvc.forest.
 """
 from __future__ import annotations
 
@@ -114,6 +126,10 @@ class _Fail:
 
 EMPTY = _Empty()
 FAIL = _Fail()
+# what sample_rows reports for a block it decodes no coordinate from
+# (coordinates are never negative): a zero level-0 cell, or no cell passing
+ROW_EMPTY = -1
+ROW_FAIL = -2
 
 
 def level_count(universe: int) -> int:
@@ -263,59 +279,182 @@ def from_block(block: np.ndarray, reps: int) -> np.ndarray:
     return np.concatenate((head, block[..., 1:].reshape(*lead, reps, -1)), axis=-1)
 
 
+def repetition_cells(reps: int, levels: int) -> list[slice]:
+    """The cells of a block (see to_block) that sample_rows reads in each pass.
+
+    Pass 0 is level 0 with repetition 0's levels >= 1, pass q >= 1 is
+    repetition q's levels >= 1: the block in storage order, one
+    repetition at a time.
+    """
+    stride = levels - 1
+    later = [slice(1 + q * stride, 1 + (q + 1) * stride) for q in range(1, reps)]
+    return [slice(0, levels), *later]
+
+
+def sample_rows(read, rows: int, passes: list[slice], z: int, universe: int):
+    """Decode one nonzero coordinate from each of many blocks at once.
+
+    read(todo, cells) returns the counts, index sums and fingerprints of
+    the blocks in todo, an ascending index array into 0..rows-1, at the
+    block cells `cells`, as three [len(todo), cells] integer arrays.
+    Index sums may be any nonnegative representatives of their residues
+    mod INDEX_PRIME. passes are slices that cover a block in storage
+    order, the first starting at level 0 (repetition_cells, or one slice
+    over the whole block); each pass is read only for the blocks that no
+    earlier pass decoded. A block is ROW_EMPTY when its level-0 cell is
+    identically zero; otherwise it takes the coordinate of its first
+    cell, in block order, that passes the one-sparse test (a cell with a
+    zero count never does), and ROW_FAIL when none does.
+
+    Returns (found, sign): per block, the coordinate or ROW_EMPTY or
+    ROW_FAIL, and the sign of the decoded count (0 where none).
+    """
+    found = np.full(rows, ROW_FAIL, dtype=np.int64)
+    sign = np.zeros(rows, dtype=np.int64)
+    todo = np.arange(rows)
+    for cells in passes:
+        if not len(todo):
+            break
+        c, s, fp = read(todo, cells)
+        if cells.start == 0:
+            empty = (c[:, 0] == 0) & (s[:, 0] % INDEX_PRIME == 0) & (fp[:, 0] == 0)
+            found[todo[empty]] = ROW_EMPTY
+            todo, c, s, fp = todo[~empty], c[~empty], s[~empty], fp[~empty]
+        q, ok = _one_sparse(c, s, fp, z, universe)
+        hit = ok.any(axis=1)
+        at = np.flatnonzero(hit), ok[hit].argmax(axis=1)  # each decoded block's first passing cell
+        found[todo[hit]] = q[at]
+        sign[todo[hit]] = np.sign(c[at])
+        todo = todo[~hit]
+    return found, sign
+
+
 def sample_cells(counts, index_sums, fingerprints, z: int, universe: int):
     """Decode one nonzero coordinate from one block (see to_block) of raw cells.
 
-    EMPTY when the level-0 cell is identically zero; otherwise the first
-    cell, in block order, that passes the one-sparse verification wins
-    (a cell with a zero count never does); FAIL when none does. Index
-    sums may be unreduced sums of residues, as a union of components
-    leaves them, so the zero test reads them mod INDEX_PRIME.
+    A one-row call of sample_rows over the whole block: EMPTY when the
+    level-0 cell is identically zero; otherwise the first cell, in block
+    order, that passes the one-sparse verification wins; FAIL when none
+    does. Index sums may be unreduced sums of residues.
     """
-    if not (counts[0] or index_sums[0] % INDEX_PRIME or fingerprints[0]):
+    cells = counts, index_sums, fingerprints
+
+    def read(todo, part):
+        return tuple(np.asarray(a)[None, part] for a in cells)
+
+    found, sign = sample_rows(read, 1, [slice(0, len(counts))], z, universe)
+    if found[0] == ROW_EMPTY:
         return EMPTY
-    for cell in counts.nonzero()[0].tolist():
-        found = _one_sparse(
-            int(counts[cell]), int(index_sums[cell]), int(fingerprints[cell]), z, universe
-        )
-        if found is not None:
-            return found
-    return FAIL
+    if found[0] == ROW_FAIL:
+        return FAIL
+    return NonZeroIndex(int(found[0]), int(sign[0]))
 
 
 def repetition_levels(counts, index_sums, fingerprints, reps: int, z: int, universe: int):
     """Per repetition of one block, the level of its first one-sparse cell, or -1.
 
-    Reads the block of sample_cells one repetition at a time (the shared
-    level-0 cell, then that repetition's levels >= 1 in order), so the
-    share of entries >= 0 is the per-repetition decode rate that
-    REP_SCALE is sized from; sample_cells decodes in the first
-    repetition whose entry is >= 0.
+    Tests every cell of the block with the one-sparse test of sample_rows,
+    then reads the result one repetition at a time (the shared level-0
+    cell, then that repetition's levels >= 1 in order), so the share of
+    entries >= 0 is the per-repetition decode rate that REP_SCALE is
+    sized from; sample_rows decodes in the first repetition whose entry
+    is >= 0.
     """
-    passing = np.zeros(len(counts), dtype=bool)
-    for i in np.flatnonzero(counts).tolist():
-        cell = int(counts[i]), int(index_sums[i]), int(fingerprints[i])
-        passing[i] = _one_sparse(*cell, z, universe) is not None
+    _, passing = _one_sparse(counts, index_sums, fingerprints, z, universe)
     passing = from_block(passing, reps)  # [rep, level]
     return np.where(passing.any(axis=1), passing.argmax(axis=1), -1)
 
 
-def _one_sparse(c: int, s: int, fp: int, z: int, universe: int):
-    """The coordinate a cell holds when it holds exactly one; None otherwise.
+_U64 = np.uint64
+_LOW30, _LOW31, _PRIME_U64 = _U64((1 << 30) - 1), _U64((1 << 31) - 1), _U64(PRIME)
 
-    s is the cell's index sum, any representative of its residue mod
-    INDEX_PRIME; q = s * c^-1 mod INDEX_PRIME.
+
+def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod PRIME for uint64 arrays below PRIME.
+
+    Split at bit 31, a = a1 2^31 + a0 and b = b1 2^31 + b0, so that every
+    partial product is below 2^62; with 2^61 = 1 mod PRIME, a1 b1 2^62 is
+    2 a1 b1 and the middle term m 2^31 is (m >> 30) + (m mod 2^30) 2^31.
+    The four terms sum below 2^64, and one fold and one compare-subtract
+    reduce them.
     """
-    if c == 1:
-        q = s % INDEX_PRIME
-    elif c == -1:
-        q = -s % INDEX_PRIME
-    elif c % INDEX_PRIME:
-        q = s * pow(c, -1, INDEX_PRIME) % INDEX_PRIME
-    else:
-        return None
-    if q >= universe:
-        return None
-    if (c % PRIME) * pow(z, q, PRIME) % PRIME != fp:
-        return None
-    return NonZeroIndex(q, 1 if c > 0 else -1)
+    a1, a0 = a >> _U64(31), a & _LOW31
+    b1, b0 = b >> _U64(31), b & _LOW31
+    mid = a1 * b0 + a0 * b1
+    x = ((a1 * b1) << _U64(1)) + (mid >> _U64(30)) + ((mid & _LOW30) << _U64(31)) + a0 * b0
+    x = (x & _PRIME_U64) + (x >> _U64(61))
+    return np.minimum(x, x - _PRIME_U64)
+
+
+def _zpow(z: int, q: np.ndarray, universe: int) -> np.ndarray:
+    """z^q mod PRIME for a uint64 array of exponents below universe.
+
+    One table row per 4-bit window of q, row w holding z^(d 16^w) for
+    d < 16, so z^q is the product of one entry per window.
+    """
+    table = []
+    base = z
+    for _ in range(max(1, -(-(universe - 1).bit_length() // 4))):
+        row = [1]
+        for _ in range(15):
+            row.append(row[-1] * base % PRIME)
+        table.append(row)
+        base = row[-1] * base % PRIME
+    table = np.array(table, dtype=np.uint64)
+    out = table[0, q & _U64(15)]
+    for w in range(1, len(table)):
+        out = _mulmod(out, table[w, (q >> _U64(4 * w)) & _U64(15)])
+    return out
+
+
+def _inverse_mod_index_prime(a: np.ndarray) -> np.ndarray:
+    """a^-1 mod INDEX_PRIME for an int64 array in 1..INDEX_PRIME-1: a^(p' - 2) (Fermat).
+
+    Operands stay below 2^31, so every product is below 2^62.
+    """
+    out, base, e = np.ones_like(a), a, INDEX_PRIME - 2
+    while e:
+        if e & 1:
+            out = out * base % INDEX_PRIME
+        base = base * base % INDEX_PRIME
+        e >>= 1
+    return out
+
+
+def _one_sparse(c, s, fp, z: int, universe: int):
+    """Per cell of integer arrays, whether it holds exactly one coordinate, and that coordinate.
+
+    Returns (q, ok), int64 and bool arrays of the cells' shape. s is any
+    nonnegative representative of the index sum's residue. A count that
+    is a multiple of INDEX_PRIME (zero among them) never decodes; the
+    other cells are read as 1-D int64 arrays. With a = |c| mod
+    INDEX_PRIME and t the residue of s, negated for a negative count,
+    q = s c^-1 = t a^-1 mod INDEX_PRIME. While a U < INDEX_PRIME, a q
+    below U has a q < INDEX_PRIME, so a q = t exactly: q is in range iff
+    a divides t with a quotient below U, and no inverse is needed (a = 1
+    reads q = t). A larger a takes a Fermat inverse. A cell passes when
+    q < U and c z^q = fp mod PRIME; the fingerprint is tested on every
+    cell whose q is in range.
+    """
+    q = np.zeros(np.shape(c), dtype=np.int64)
+    ok = np.zeros(np.shape(c), dtype=bool)
+    at = np.nonzero(c % INDEX_PRIME)
+    c, s, fp = (x[at].astype(np.int64) for x in (c, s, fp))
+    a = np.abs(c) % INDEX_PRIME
+    t = s % INDEX_PRIME
+    t[c < 0] = (INDEX_PRIME - t[c < 0]) % INDEX_PRIME
+    direct = a * universe < INDEX_PRIME
+    found = t // a
+    passing = direct & (found * a == t)
+    inverted = np.flatnonzero(~direct)  # a >= INDEX_PRIME / U
+    if len(inverted):
+        found[inverted] = t[inverted] * _inverse_mod_index_prime(a[inverted]) % INDEX_PRIME
+        passing[inverted] = True
+    passing &= found < universe
+    cand = np.flatnonzero(passing)
+    if len(cand):
+        zq = _zpow(z, found[cand].astype(np.uint64), universe)
+        expect = _mulmod((c[cand] % PRIME).astype(np.uint64), zq)
+        passing[cand] = expect == fp[cand].astype(np.uint64)
+    q[at], ok[at] = found, passing
+    return q, ok

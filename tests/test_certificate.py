@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -595,6 +596,48 @@ def test_malformed_certificate_json_names_the_field():
         Certificate.from_json(json.dumps({**missing_forests, "schema": 2}))
     with pytest.raises(ValueError, match="unsupported certificate schema None"):
         Certificate.from_json("[]")
+
+
+def test_certificate_json_counts_and_forest_records_are_checked():
+    params = CertParams(n=6, k=2, scale_c=5, seed=22)
+    d = build_certificate_offline(complete(6), params).to_json_dict()
+    assert d["r"] == len(d["forests"]) == 36 and d["forest_failures"] == 0
+    cases = [
+        ({**d, "r": 999, "forest_failures": 7}, "field 'r' gives 999, but .* give 36"),
+        ({**d, "forest_failures": 7}, "field 'forest_failures' gives 7, but .* give 0"),
+        ({**d, "sum_Vi": d["sum_Vi"] + 1}, f"field 'sum_Vi' gives {d['sum_Vi'] + 1}"),
+        ({**d, "forests": [[-3, -1, 5]]}, r"forests record \[-3, -1, 5\] must have 0 <= size"),
+        ({**d, "forests": [[7, 0, 5]] + d["forests"][1:]}, r"forests record \[7, 0, 5\]"),
+        ({**d, "forests": [[3, -1, 5]] + d["forests"][1:]}, r"forests record \[3, -1, 5\]"),
+        ({**d, "forests": d["forests"][1:]}, "field 'forests' gives 35, but .* give 36"),
+        ({**d, "r": "36"}, "field 'r' must be int"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Certificate.from_json(json.dumps(bad))
+    # a record with failures and the counts that go with it is read back
+    failed = {**d, "forests": [[4, 2, 5]] + d["forests"][1:], "forest_failures": 1}
+    failed["sum_Vi"] = sum(size for size, _, _ in failed["forests"])
+    assert Certificate.from_json(json.dumps(failed)).to_json_dict() == failed
+
+
+@pytest.mark.parametrize(
+    "n, k, digest",
+    [
+        (32, 2, "b5684b79279f980338de040ed925248c755caacccf01a9d7df47bf91a8c59f1a"),
+        (48, 3, "1fb57b87552733ff662c45601fe6351d335a97b5a6f23bde4e9fee0f1ccecae4"),
+    ],
+)
+def test_library_quick_start_certificates_are_pinned(n, k, digest):
+    """The README library quick start's certificate, byte for byte, at two (n, k).
+
+    The digests were taken before extraction was batched across banks;
+    any change to sketching, extraction or the JSON layout shows here.
+    """
+    certifier = StreamCertifier(CertParams(n=n, k=k, scale_c=20, seed=1, delta=0.01))
+    for e in gen_random_stream(n, 0.3, 0.2, seed=7):
+        certifier.update(e)
+    assert hashlib.sha256(certifier.finalize().to_json().encode()).hexdigest() == digest
 
 
 def test_low_connectivity_edges_captured_smoke():

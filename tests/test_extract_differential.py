@@ -1,27 +1,30 @@
 """Differential test: ForestSketchBank.extract against the extraction loop it replaced.
 
 reference_extract is an earlier loop, kept as it was apart from taking the
-bank as an argument and calling forest's sample_cells through the module,
-so that a patched decoder reaches both loops; it keeps its own copy of the
-_merged helper it used. Every round it rebuilds the component map with
-UnionFind.find over every member, re-sums every component from its
-members' blocks, re-tests every singleton's level-0 cell and decodes every
-component again, and it stops once the members form one component or a
-round samples nothing and fails nothing. extract works on the live members
-only, sums a component once, at the union that forms it, retires a
-component for good once it decodes EMPTY and stops once at most one
-component that has not decoded EMPTY is left. Both must give the same
-forest and failure count on every bank, and extract runs no more rounds.
+bank as an argument and calling forest's sample_cells through the module;
+it keeps its own copy of the _merged helper it used. sample_cells is a
+one-row call of l0.sample_rows, the decoder the batched extraction calls,
+so a decoder patched at l0.sample_rows reaches both loops. Every round the
+reference rebuilds the component map with UnionFind.find over every
+member, re-sums every component from its members' blocks, re-tests every
+singleton's level-0 cell and decodes every component again, and it stops
+once the members form one component or a round samples nothing and fails
+nothing. extract decodes every bank it is given in one batched pass per
+round, starts from the live members only, retires a component once it
+decodes EMPTY and stops a bank once at most one of its components that
+has not decoded EMPTY is left. Both must give the same forest and failure
+count on every bank, and extract runs no more rounds.
 """
 import numpy as np
 import pytest
 
 from streamvc import forest as forest_mod
+from streamvc import l0 as l0_mod
 from streamvc.certificate import CertParams, StreamCertifier
 from streamvc.forest import ForestExtraction, ForestSketchBank, pair_from_index, pair_index
 from streamvc.graph import EdgeSet, UnionFind, UpdateEvent
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import EMPTY, FAIL, PRIME, NonZeroIndex
+from streamvc.l0 import FAIL, PRIME, ROW_EMPTY, ROW_FAIL, NonZeroIndex
 
 
 def _merged(cells, positions: list[int]):
@@ -85,8 +88,9 @@ def reference_extract(bank: ForestSketchBank) -> ForestExtraction:
     return ForestExtraction(forest, failures, rounds_used)
 
 
-def assert_same_extraction(bank: ForestSketchBank) -> None:
-    got, want = bank.extract(), reference_extract(bank)
+def assert_same_extraction(bank: ForestSketchBank, got: ForestExtraction | None = None) -> None:
+    """bank.extract(), or got if given, against reference_extract."""
+    got, want = got or bank.extract(), reference_extract(bank)
     assert got.forest == want.forest
     assert got.sample_failures == want.sample_failures
     assert got.rounds_used <= want.rounds_used
@@ -104,17 +108,29 @@ def random_bank(rng, n: int, seed: int) -> ForestSketchBank:
 def patch_decoder(monkeypatch, bank: ForestSketchBank, rounds: set[int], replace) -> None:
     """In the given rounds, a decode that is not EMPTY returns replace(outcome) instead.
 
+    The patch sits on l0.sample_rows, so it reaches every bank of a
+    batched extraction and every one-row decode of reference_extract.
     EMPTY stays EMPTY: the decoder reads EMPTY exactly when the level-0
     cell is zero, which a zero vector always gives.
     """
-    decode = forest_mod.sample_cells
+    decode = l0_mod.sample_rows
     zs = {bank.store.z[r] for r in rounds}
 
-    def patched(counts, isums, fps, z, universe):
-        outcome = decode(counts, isums, fps, z, universe)
-        return outcome if outcome is EMPTY or z not in zs else replace(outcome)
+    def patched(read, rows, passes, z, universe):
+        found, sign = decode(read, rows, passes, z, universe)
+        if z in zs:
+            for i in np.flatnonzero(found != ROW_EMPTY).tolist():
+                if found[i] == ROW_FAIL:
+                    outcome = replace(FAIL)
+                else:
+                    outcome = replace(NonZeroIndex(int(found[i]), int(sign[i])))
+                if outcome is FAIL:
+                    found[i], sign[i] = ROW_FAIL, 0
+                else:
+                    found[i], sign[i] = outcome.index, outcome.sign
+        return found, sign
 
-    monkeypatch.setattr(forest_mod, "sample_cells", patched)
+    monkeypatch.setattr(l0_mod, "sample_rows", patched)
 
 
 @pytest.mark.parametrize("members", [[], [3], [0, 5], [1, 2, 6]])
@@ -204,3 +220,54 @@ def test_decodes_joining_a_component_that_decoded_empty(monkeypatch):
     assert got.forest.edges == {(0, 1), (0, 2), (0, 3), (4, 5)}
     assert (got.sample_failures, got.rounds_used) == (6, 3)
     assert_same_extraction(bank)
+
+
+def certifier_after_a_stream(n: int) -> StreamCertifier:
+    certifier = StreamCertifier(CertParams(n=n, k=2, scale_c=2, seed=n, delta=0.05))
+    for e in gen_random_stream(n, 0.2, 0.3, seed=n + 1):
+        certifier.update(e)
+    return certifier
+
+
+def assert_one_batch_equals_the_reference(certifier: StreamCertifier) -> list[ForestExtraction]:
+    """One extract call over every bank of the certifier, checked bank by bank."""
+    banks = certifier.banks
+    banks[0].extract(*banks[1:])
+    batched = [bank.extraction for bank in banks]
+    for bank, got in zip(banks, batched):
+        assert_same_extraction(bank, got)
+        assert bank.extract() == got  # a bank alone gives what the batch gave it
+    return batched
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("rounds", [set(), {0}, {1}, {0, 2}])
+def test_one_batch_over_every_bank_fails_in_chosen_rounds(monkeypatch, n, rounds):
+    certifier = certifier_after_a_stream(n)
+    patch_decoder(monkeypatch, certifier.banks[0], rounds, lambda outcome: FAIL)
+    batched = assert_one_batch_equals_the_reference(certifier)
+    assert any(len(x.forest) for x in batched)
+    assert bool(rounds) == any(x.sample_failures for x in batched)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_one_batch_over_every_bank_with_decodes_outside_the_members(monkeypatch, n):
+    # every decode of round 1 names another pair, often with an endpoint
+    # outside its bank (a failure) and otherwise a false join
+    certifier = certifier_after_a_stream(n)
+    universe = certifier.store.universe
+
+    def elsewhere(outcome):
+        if outcome is FAIL:
+            return outcome
+        return NonZeroIndex((7 * outcome.index + 3) % universe, outcome.sign)
+
+    patch_decoder(monkeypatch, certifier.banks[0], {1}, elsewhere)
+    batched = assert_one_batch_equals_the_reference(certifier)
+    assert any(x.sample_failures for x in batched)
+
+
+def test_extracting_banks_of_another_store_is_refused():
+    a, b = (ForestSketchBank(6, range(6), 0.05, seed=s) for s in (1, 2))
+    with pytest.raises(ValueError, match="one store"):
+        a.extract(b)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from streamvc import forest as forest_mod
+from streamvc import l0 as l0_mod
 from streamvc.certificate import MAX_LIVE_MULTIPLICITY, CertParams, StreamCertifier
 from streamvc.forest import (
     MAX_N,
@@ -21,7 +22,16 @@ from streamvc.graph import (
     replay_stream,
 )
 from streamvc.instances import gen_random_stream
-from streamvc.l0 import EMPTY, FAIL, INDEX_PRIME, PRIME, L0Sketch, NonZeroIndex, sample_cells
+from streamvc.l0 import (
+    EMPTY,
+    INDEX_PRIME,
+    PRIME,
+    ROW_EMPTY,
+    ROW_FAIL,
+    L0Sketch,
+    NonZeroIndex,
+    sample_cells,
+)
 from streamvc.seeds import derive_seed
 
 
@@ -257,12 +267,15 @@ def test_extraction_retries_after_a_round_of_failed_decodes(monkeypatch):
     bank = ForestSketchBank(n, range(n), 0.01, seed=3)
     for u in range(n - 1):
         bank.update(UpdateEvent(u, u + 1, 1))
-    store, decode = bank.store, forest_mod.sample_cells
+    store, decode = bank.store, l0_mod.sample_rows
 
-    def fail_round_0(counts, isums, fps, z, universe):
-        return FAIL if z == store.z[0] else decode(counts, isums, fps, z, universe)
+    def fail_round_0(read, rows, passes, z, universe):
+        found, sign = decode(read, rows, passes, z, universe)
+        if z == store.z[0]:
+            found[:], sign[:] = ROW_FAIL, 0
+        return found, sign
 
-    monkeypatch.setattr(forest_mod, "sample_cells", fail_round_0)
+    monkeypatch.setattr(l0_mod, "sample_rows", fail_round_0)
     ext = bank.extract()
     assert ext.forest == EdgeSet(n, [(u, u + 1) for u in range(n - 1)])
     assert ext.sample_failures == n
@@ -351,14 +364,14 @@ def test_nonempty_decodes_halve_each_round(seed, monkeypatch):
         certifier.update(e)
     store = certifier.store
     counts = np.zeros(store.rounds, dtype=np.int64)  # non-EMPTY decodes per round
-    decode = forest_mod.sample_cells
+    decode = l0_mod.sample_rows
 
-    def counted(cells, index_sums, fingerprints, z, universe):
-        outcome = decode(cells, index_sums, fingerprints, z, universe)
-        counts[store.z.index(z)] += outcome is not EMPTY
-        return outcome
+    def counted(read, rows, passes, z, universe):
+        found, sign = decode(read, rows, passes, z, universe)
+        counts[store.z.index(z)] += np.count_nonzero(found != ROW_EMPTY)
+        return found, sign
 
-    monkeypatch.setattr(forest_mod, "sample_cells", counted)
+    monkeypatch.setattr(l0_mod, "sample_rows", counted)
     checked = 0
     for b, bank in enumerate(certifier.banks):
         counts[:] = 0
@@ -397,15 +410,15 @@ def test_each_component_decodes_empty_at_most_once(seed, monkeypatch):
     for e in events:
         certifier.update(e)
     empties = 0
-    decode = forest_mod.sample_cells
+    decode = l0_mod.sample_rows
 
     def counted(*args):
         nonlocal empties
-        outcome = decode(*args)
-        empties += outcome is EMPTY
-        return outcome
+        found, sign = decode(*args)
+        empties += np.count_nonzero(found == ROW_EMPTY)
+        return found, sign
 
-    monkeypatch.setattr(forest_mod, "sample_cells", counted)
+    monkeypatch.setattr(l0_mod, "sample_rows", counted)
     for b, bank in enumerate(certifier.banks):
         empties = 0
         forest = bank.extract().forest

@@ -55,13 +55,16 @@ def test_queried_certifier_equals_a_fresh_one_at_every_query(stream, seed):
 
 @pytest.fixture
 def extracted(monkeypatch):
-    """The indices of the banks extracted since the list was last cleared."""
+    """The indices of the banks extracted since the list was last cleared.
+
+    One extract call extracts its bank and every other bank it is given.
+    """
     calls: list[int] = []
     extract = ForestSketchBank.extract
 
-    def counted(bank):
-        calls.append(bank.index)
-        return extract(bank)
+    def counted(bank, *others):
+        calls.extend(b.index for b in (bank, *others))
+        return extract(bank, *others)
 
     monkeypatch.setattr(ForestSketchBank, "extract", counted)
     return calls
