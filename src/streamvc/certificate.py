@@ -37,13 +37,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MultiplicityOverflowError, SpaceExceededError
 from .forest import ForestSketchBank, SketchStore, bank_bytes, check_vertex_count
-from .graph import EdgeSet, MultiGraph, UpdateEvent
+from .graph import EdgeSet, MultiGraph, UpdateEvent, pointer_jump
 from .l0 import INDEX_PRIME
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
@@ -127,12 +127,45 @@ class ForestMeta:
 
 @dataclass
 class Certificate:
-    """Union H of the recovered forests plus run metadata."""
+    """Union H of the recovered forests plus run metadata.
+
+    __post_init__ is the one validity check of a certificate, whether a
+    builder made it or from_json read it; it raises ValueError naming
+    the first of these that breaks: every forest record has 0 <= size
+    <= n and failures >= 0; there is one record per forest
+    (params.num_forests); sketch_bytes >= 0; and H has at most
+    sum(max(|V_i| - 1, 0)) edges, the most that r spanning forests over
+    the subsets can hold. The check costs O(r), nothing per edge.
+    """
 
     edges: EdgeSet
     params: CertParams
-    forests: list[ForestMeta] = field(default_factory=list)
+    forests: list[ForestMeta]
     sketch_bytes: int = 0
+
+    def __post_init__(self):
+        n, r = self.params.n, self.params.num_forests
+        budget = 0  # sum(max(|V_i| - 1, 0)), summed in the records' one pass
+        for m in self.forests:
+            if not (0 <= m.size <= n and m.failures >= 0):
+                raise ValueError(
+                    f"certificate forests record {[m.size, m.failures, m.seed]!r} must have "
+                    f"0 <= size <= n and failures >= 0"
+                )
+            budget += m.size - 1 if m.size else 0
+        if len(self.forests) != r:
+            raise ValueError(
+                f"certificate field 'forests' gives {len(self.forests)}, but its params give {r}"
+            )
+        if self.sketch_bytes < 0:
+            raise ValueError(
+                f"certificate measured_sketch_bytes must be >= 0, got {self.sketch_bytes}"
+            )
+        if len(self.edges) > budget:
+            raise ValueError(
+                f"certificate has {len(self.edges)} edges, more than its forests' edge "
+                f"budget sum(max(|V_i| - 1, 0)) = {budget}"
+            )
 
     @property
     def sum_subset_sizes(self) -> int:
@@ -171,10 +204,10 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         """Inverse of to_json; a malformed or inconsistent field raises ValueError naming it.
 
-        Beyond each field's type, every forest record must have 0 <= size
-        <= n and failures >= 0, there must be one record per forest
-        (r == len(forests) == params.num_forests), and forest_failures
-        and sum_Vi must equal what the records give.
+        Beyond each field's type, r must equal params.num_forests and
+        forest_failures and sum_Vi must equal what the records give; the
+        records, their count, the sketch bytes and the edge budget are
+        checked by Certificate itself, as for a built certificate.
         """
         d = json.loads(text)
         schema = d.get("schema") if isinstance(d, dict) else None
@@ -187,24 +220,14 @@ class Certificate:
             seed=_json_field(d, "seed", int),
             delta=_json_field(d, "delta", float, type(None)),
         )
-        forests = []
-        for record in _json_records(d, "forests", 3):
-            if not (0 <= record[0] <= params.n and record[1] >= 0):
-                raise ValueError(
-                    f"certificate forests record {record!r} must have 0 <= size <= n "
-                    f"and failures >= 0"
-                )
-            forests.append(ForestMeta(*record))
         cert = cls(
             edges=EdgeSet(params.n, [tuple(e) for e in _json_records(d, "edges", 2)]),
             params=params,
-            forests=forests,
+            forests=[ForestMeta(*record) for record in _json_records(d, "forests", 3)],
             sketch_bytes=_json_field(d, "measured_sketch_bytes", int),
         )
-        r = params.num_forests
         for key, got, want in (
-            ("r", _json_field(d, "r", int), r),
-            ("forests", len(forests), r),
+            ("r", _json_field(d, "r", int), params.num_forests),
             ("forest_failures", _json_field(d, "forest_failures", int), cert.forest_failures),
             ("sum_Vi", _json_field(d, "sum_Vi", int), cert.sum_subset_sizes),
         ):
@@ -288,12 +311,7 @@ def _spanning_forests(earr: np.ndarray, masks: np.ndarray) -> np.ndarray:
         parent[hooked] = other
         mutual = (parent[other] == hooked) & (hooked < other)
         parent[hooked[mutual]] = hooked[mutual]
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-        comp = parent
+        comp = pointer_jump(parent)
 
 
 def max_forests(n: int) -> int:
@@ -323,7 +341,8 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
     Each subset's forest is the minimum spanning forest of its induced
     subgraph under edge weight = rank in g.sorted_edges(), found by the
     blockwise Boruvka pass of _spanning_forests. A forest count above
-    max_forests(n) is rejected before any subset is sampled.
+    max_forests(n) is rejected before any subset is sampled; the
+    Certificate checks its own records and edge budget.
     """
     if g.n != params.n:
         raise ValueError(f"graph has n={g.n}, params expect n={params.n}")
@@ -335,10 +354,7 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
         sizes = masks.sum(axis=1).tolist()
         metas.extend(ForestMeta(size=s, failures=0, seed=x) for s, x in zip(sizes, seeds))
         kept |= _spanning_forests(earr, masks)
-    h = EdgeSet(params.n, earr[kept].tolist())
-    budget = sum(max(m.size - 1, 0) for m in metas)
-    assert len(h) <= budget, "certificate exceeded its forest edge budget"
-    return Certificate(edges=h, params=params, forests=metas, sketch_bytes=0)
+    return Certificate(EdgeSet(params.n, earr[kept].tolist()), params, metas, sketch_bytes=0)
 
 
 def physical_memory_bytes() -> int | None:
@@ -433,10 +449,11 @@ class StreamCertifier:
         keeps each bank's new ForestExtraction on its view in place of
         the old one; then clears the marks. An extraction is a pure
         function of its bank's cells and the store's batteries, so a kept
-        one equals a fresh extraction. H and the forest records are then built from the r
-        kept extractions. Their forests hold at most sum(|V_i| - 1)
-        edges, query-side state like the validation MultiGraph, and are
-        not charged to the sketch bytes.
+        one equals a fresh extraction. H and the forest records are then
+        built from the r kept extractions, and the Certificate checks
+        them, its edge budget sum(max(|V_i| - 1, 0)) included. The forests
+        are query-side state like the validation MultiGraph and are not
+        charged to the sketch bytes.
         """
         store = self.store
         dirty = [self.banks[b] for b in np.flatnonzero(store.dirty).tolist()]
@@ -450,16 +467,7 @@ class StreamCertifier:
             extraction = bank.extraction
             kept.update(extraction.forest.edges)
             metas.append(ForestMeta(size=size, failures=extraction.sample_failures, seed=seed))
-        h = EdgeSet(self.params.n, kept)
-        assert len(h) <= sum(
-            max(m.size - 1, 0) for m in metas
-        ), "certificate exceeded its forest edge budget"
-        return Certificate(
-            edges=h,
-            params=self.params,
-            forests=metas,
-            sketch_bytes=self.measured_bytes(),
-        )
+        return Certificate(EdgeSet(self.params.n, kept), self.params, metas, self.measured_bytes())
 
 
 def decide_k_connected(cert: Certificate) -> bool:

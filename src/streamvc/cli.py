@@ -15,9 +15,10 @@ certify and check share --k (default: the header's k), --seed, --scale-c
 (the forest-count constant C, default TEST_SCALE = 20; the analysis
 constant is --scale-c 200) and --delta. Reports are single JSON objects
 on stdout; exit codes for certify are 0 = k-connected, 1 = not, 2 =
-error (running out of memory included), abort or usage error. certify,
-check and oracle refuse a header n above forest.MAX_N (exit 2) before
-they build anything for it.
+any failure: a usage error, an abort or any exception (running out of
+memory and an internal error included), reported as one JSON error line
+on stderr. certify, check and oracle refuse a header n above
+forest.MAX_N (exit 2) before they build anything for it.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from pathlib import Path
 
 from . import certificate as cert_mod
 from . import instances, streamio
-from .errors import StreamError
 from .forest import check_vertex_count
 from .graph import replay_stream
 from .insertion import InsertionCertifier
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StreamError, ValueError, OSError, MemoryError) as exc:
+    except Exception as exc:  # exit 1 means "not k-connected", so every failure is 2
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
 

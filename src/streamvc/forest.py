@@ -114,7 +114,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import l0
-from .graph import EdgeSet, UnionFind, UpdateEvent, validate_event
+from .graph import EdgeSet, UnionFind, UpdateEvent, pointer_jump, validate_event
 # sample_cells is not called here; bench/tracer.py times it wherever it is bound
 from .l0 import (  # noqa: F401
     INDEX_PRIME,
@@ -459,7 +459,7 @@ class SketchStore:
         passes = repetition_cells(self.reps, self.levels)
         joined: list[int] = []  # a row of each union of the last round
         for r in range(self.rounds):
-            label = _roots(np.array(uf.parent, dtype=np.int64))
+            label = pointer_jump(np.array(uf.parent, dtype=np.int64))
             decode_next[label[joined]] = True
             roots = decode_next & (label == np.arange(rows))
             running &= np.bincount(row_bank[roots], minlength=len(banks)) >= 2
@@ -507,15 +507,6 @@ class SketchStore:
             ForestExtraction(EdgeSet(self.n, e), f, used)
             for e, f, used in zip(edges, failures.tolist(), rounds_used.tolist())
         ]
-
-
-def _roots(parent: np.ndarray) -> np.ndarray:
-    """Every node's root under a parent array, by pointer jumping."""
-    while True:
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            return parent
-        parent = jumped
 
 
 def _component_sums(counts, index_sums, fingerprints, starts):

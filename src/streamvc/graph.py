@@ -188,6 +188,15 @@ class UnionFind:
         return True
 
 
+def pointer_jump(parent):
+    """Every node's root under a parent array (a numpy int array), by pointer jumping."""
+    while True:
+        jumped = parent[parent]
+        if (jumped == parent).all():
+            return parent
+        parent = jumped
+
+
 def component_partition(vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
     """Partition of `vertices` into connected components under `edges`.
 

@@ -12,6 +12,7 @@ from streamvc.certificate import (
     PAPER_SCALE,
     CertParams,
     Certificate,
+    ForestMeta,
     StreamCertifier,
     build_certificate_offline,
     decide_k_connected,
@@ -638,6 +639,77 @@ def test_library_quick_start_certificates_are_pinned(n, k, digest):
     for e in gen_random_stream(n, 0.3, 0.2, seed=7):
         certifier.update(e)
     assert hashlib.sha256(certifier.finalize().to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n, k, stream, params, digest",
+    [
+        (
+            32,
+            2,
+            dict(density=0.3, seed=7),
+            dict(seed=1),
+            "7b0bd5b8c4af4042968fc6dcd42cc51e3c3b0c483234e0aedd494594252ec2d6",
+        ),
+        (
+            140,
+            4,
+            dict(density=0.13, seed=1001, events=1500),
+            dict(seed=1001, delta=0.01),
+            "2e9f9b235b0603ee20c69dd76ffb291b64fbac814676a1bddb8057e16c0397c3",
+        ),
+    ],
+)
+def test_offline_certificates_are_pinned(n, k, stream, params, digest):
+    """The offline certificate, byte for byte: the README stream and the offline-verdict size.
+
+    The digests were taken before the certificate checked itself in
+    Certificate.__post_init__; any change to subset sampling, the forest
+    pass or the JSON layout shows here.
+    """
+    events = gen_random_stream(n, stream["density"], 0.2, seed=stream["seed"])
+    g = replay_stream(events[: stream.get("events")], n).support()
+    cert = build_certificate_offline(g, CertParams(n=n, k=k, scale_c=20, **params))
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+    assert Certificate.from_json(cert.to_json()).to_json() == cert.to_json()
+
+
+def test_stream_certificate_roundtrips_through_json():
+    certifier = StreamCertifier(CertParams(n=32, k=2, scale_c=20, seed=1, delta=0.01))
+    for e in gen_random_stream(32, 0.3, 0.2, seed=7):
+        certifier.update(e)
+    cert = certifier.finalize()
+    assert cert.sketch_bytes > 0
+    assert Certificate.from_json(cert.to_json()).to_json() == cert.to_json()
+
+
+def test_from_json_refuses_an_edge_budget_overrun_and_negative_sketch_bytes():
+    params = CertParams(n=8, k=2, scale_c=1, seed=1)
+    d = build_certificate_offline(complete(8), params).to_json_dict()
+    with pytest.raises(ValueError, match="measured_sketch_bytes must be >= 0, got -1"):
+        Certificate.from_json(json.dumps({**d, "measured_sketch_bytes": -1}))
+    # 13 edges from 9 forests, but the records leave room for one edge
+    assert len(d["edges"]) == 13 and len(d["forests"]) == 9
+    d["forests"] = [[2, 0, d["forests"][0][2]]] + [[0, 0, seed] for _, _, seed in d["forests"][1:]]
+    d["sum_Vi"] = 2
+    with pytest.raises(ValueError, match=r"has 13 edges, more than .* budget .* = 1"):
+        Certificate.from_json(json.dumps(d))
+
+
+def test_certificate_checks_itself_however_it_is_made():
+    cert = build_certificate_offline(complete(6), CertParams(n=6, k=2, scale_c=5, seed=22))
+    with pytest.raises(ValueError, match="field 'forests' gives 35, but its params give 36"):
+        Certificate(edges=cert.edges, params=cert.params, forests=cert.forests[1:])
+    with pytest.raises(ValueError, match=r"forests record \[7, 0, 5\]"):
+        Certificate(cert.edges, cert.params, [ForestMeta(7, 0, 5)] + cert.forests[1:])
+    with pytest.raises(ValueError, match="measured_sketch_bytes must be >= 0"):
+        Certificate(cert.edges, cert.params, cert.forests, sketch_bytes=-1)
+    with pytest.raises(ValueError, match="more than its forests' edge budget"):
+        Certificate(complete(6), cert.params, [ForestMeta(0, 0, m.seed) for m in cert.forests])
+    # a budget met exactly is kept: a path's edges, one subset holding all of it
+    path = EdgeSet(6, [(v, v + 1) for v in range(5)])
+    records = [ForestMeta(6, 0, 1)] + [ForestMeta(0, 0, m.seed) for m in cert.forests[1:]]
+    assert Certificate(path, cert.params, records).edges is path
 
 
 def test_low_connectivity_edges_captured_smoke():

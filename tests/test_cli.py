@@ -507,6 +507,42 @@ def test_certify_memory_error_exit_2(tmp_path, capsys, monkeypatch):
     assert err["error"] == "MemoryError: no room for the validation graph"
 
 
+@pytest.mark.parametrize("kind", [AssertionError, RuntimeError, ZeroDivisionError])
+def test_certify_internal_error_exit_2(tmp_path, capsys, monkeypatch, kind):
+    # exit 1 means "not k-connected", so an unexpected exception must not reach it
+    def broken(g, k):
+        raise kind("broken oracle")
+
+    monkeypatch.setattr(certificate, "is_k_connected", broken)
+    path = tmp_path / "k5.stream"
+    run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
+    code, out, err = run_cli(capsys, "certify", str(path), "--mode", "offline")
+    assert code == 2 and out is None
+    assert err["error"] == f"{kind.__name__}: broken oracle"
+
+
+def test_subprocess_entry_internal_error_exit_2(tmp_path):
+    import subprocess
+    import sys
+
+    path = tmp_path / "k5.stream"
+    write_stream(path, 5, 2, [UpdateEvent(u, v, 1) for u in range(5) for v in range(u + 1, 5)])
+    script = (
+        "import sys\n"
+        "from streamvc import certificate, cli\n"
+        "def broken(g, k):\n"
+        "    raise AssertionError('broken oracle')\n"
+        "certificate.is_k_connected = broken\n"
+        "sys.argv[1:] = ['certify', sys.argv[1], '--mode', 'offline']\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "AssertionError: broken oracle"}
+
+
 def test_check_negative_trials_exit_2(tmp_path, capsys):
     path = tmp_path / "k5.stream"
     run_cli(capsys, "gen", "named", "--name", "complete(5)", "--k", "2", "--out", str(path))
