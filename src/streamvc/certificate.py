@@ -38,6 +38,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,40 +117,47 @@ class CertParams:
         return derive_seed(self.seed, "subset", i)
 
 
-@dataclass
-class ForestMeta:
-    """Per-forest record: subset size, sample failures, subset seed."""
+class ForestMeta(NamedTuple):
+    """Per-forest record: subset size, sample failures, subset seed (immutable)."""
 
     size: int
     failures: int
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """Union H of the recovered forests plus run metadata.
+    """Union H of the recovered forests plus run metadata, an immutable value.
 
     __post_init__ is the one validity check of a certificate, whether a
-    builder made it or from_json read it; it raises ValueError naming
-    the first of these that breaks: every forest record has 0 <= size
-    <= n and failures >= 0; there is one record per forest
+    builder made it, from_json read it or dataclasses.replace copied it,
+    and no field can be assigned afterwards; it stores forests as a
+    tuple of ForestMeta, themselves immutable, and raises ValueError
+    naming the first of these that breaks: every forest record has 0 <=
+    size <= n and failures >= 0; there is one record per forest
     (params.num_forests); sketch_bytes >= 0; and H has at most
     sum(max(|V_i| - 1, 0)) edges, the most that r spanning forests over
     the subsets can hold. The check costs O(r), nothing per edge.
+
+    H, edges, is the EdgeSet the certificate was built from, shared and
+    mutable: the certificate neither copies nor freezes it, and an edge
+    added to it later escapes the budget check, so edit a copy
+    (EdgeSet(cert.params.n, cert.edges)), never cert.edges.
     """
 
     edges: EdgeSet
     params: CertParams
-    forests: list[ForestMeta]
+    forests: tuple[ForestMeta, ...]
     sketch_bytes: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "forests", tuple(self.forests))
         n, r = self.params.n, self.params.num_forests
         budget = 0  # sum(max(|V_i| - 1, 0)), summed in the records' one pass
         for m in self.forests:
             if not (0 <= m.size <= n and m.failures >= 0):
                 raise ValueError(
-                    f"certificate forests record {[m.size, m.failures, m.seed]!r} must have "
+                    f"certificate forests record {list(m)!r} must have "
                     f"0 <= size <= n and failures >= 0"
                 )
             budget += m.size - 1 if m.size else 0
@@ -178,8 +186,9 @@ class Certificate:
     def to_json_dict(self) -> dict:
         """Lossless JSON form: params, edges and per-forest records.
 
-        forest_failures and sum_Vi are derived from the forest records
-        and written for readers that do not recompute them.
+        r, forest_failures and sum_Vi are derived from the params and the
+        forest records and written for readers that do not recompute
+        them; edges are written once each as [u, v] with u < v, sorted.
         """
         p = self.params
         return {
@@ -191,7 +200,7 @@ class Certificate:
             "seed": p.seed,
             "delta": p.delta,
             "edges": [list(e) for e in self.edges.sorted_edges()],
-            "forests": [[m.size, m.failures, m.seed] for m in self.forests],
+            "forests": [list(m) for m in self.forests],
             "forest_failures": self.forest_failures,
             "sum_Vi": self.sum_subset_sizes,
             "measured_sketch_bytes": self.sketch_bytes,
@@ -204,10 +213,15 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         """Inverse of to_json; a malformed or inconsistent field raises ValueError naming it.
 
-        Beyond each field's type, r must equal params.num_forests and
-        forest_failures and sum_Vi must equal what the records give; the
-        records, their count, the sketch bytes and the edge budget are
-        checked by Certificate itself, as for a built certificate.
+        A file loads iff it is the canonical JSON of the certificate it
+        describes: after the schema, each field's type and each record's
+        shape are checked, the certificate is built from the params,
+        edges, forest records and sketch bytes (and checks itself, as a
+        built one does), and its to_json_dict() must equal the file's
+        object. So the derived r, forest_failures and sum_Vi must match,
+        edges must be listed once each as [u, v] with 0 <= u < v < n in
+        sorted order, no other key may appear, and json.loads of
+        to_json(from_json(text)) equals json.loads(text).
         """
         d = json.loads(text)
         schema = d.get("schema") if isinstance(d, dict) else None
@@ -220,21 +234,12 @@ class Certificate:
             seed=_json_field(d, "seed", int),
             delta=_json_field(d, "delta", float, type(None)),
         )
-        cert = cls(
-            edges=EdgeSet(params.n, [tuple(e) for e in _json_records(d, "edges", 2)]),
-            params=params,
-            forests=[ForestMeta(*record) for record in _json_records(d, "forests", 3)],
-            sketch_bytes=_json_field(d, "measured_sketch_bytes", int),
-        )
-        for key, got, want in (
-            ("r", _json_field(d, "r", int), params.num_forests),
-            ("forest_failures", _json_field(d, "forest_failures", int), cert.forest_failures),
-            ("sum_Vi", _json_field(d, "sum_Vi", int), cert.sum_subset_sizes),
-        ):
-            if got != want:
-                raise ValueError(
-                    f"certificate field {key!r} gives {got}, but its params and records give {want}"
-                )
+        # an edge outside 0 <= u < v < n is left out here, so _json_canonical refuses it
+        edges = [(u, v) for u, v in _json_records(d, "edges", 2) if 0 <= u < v < params.n]
+        forests = [ForestMeta(*record) for record in _json_records(d, "forests", 3)]
+        sketch_bytes = _json_field(d, "measured_sketch_bytes", int)
+        cert = cls(EdgeSet(params.n, edges), params, forests, sketch_bytes)
+        _json_canonical(d, cert.to_json_dict())
         return cert
 
 
@@ -252,11 +257,29 @@ def _json_records(d: dict, key: str, width: int) -> list[list[int]]:
     """d[key] as a list of records, each a list of width ints."""
     records = _json_field(d, key, list)
     for record in records:
-        if type(record) is not list or len(record) != width or any(
-            type(x) is not int for x in record
-        ):
+        if type(record) is not list or [type(x) for x in record] != [int] * width:
             raise ValueError(f"certificate {key} record {record!r} must be {width} ints")
     return records
+
+
+def _json_canonical(d: dict, canonical: dict) -> None:
+    """Raise ValueError naming the first key whose value in d is not canonical's.
+
+    Keys run in canonical's order, then d's unknown ones; each value
+    must also have the canonical value's type. The edge list is
+    described, not printed.
+    """
+    for key in {**canonical, **d}:
+        if key not in canonical:
+            raise ValueError(f"certificate has unknown field {key!r}")
+        got, want = _json_field(d, key, type(canonical[key])), canonical[key]
+        if got != want:
+            raise ValueError(
+                f"certificate field {key!r} gives {got}, but its params and records give {want}"
+                if key != "edges"
+                else "certificate field 'edges' must list each edge once, as [u, v] with "
+                "0 <= u < v < n, in sorted order"
+            )
 
 
 def _subset_blocks(params: CertParams):
@@ -462,11 +485,9 @@ class StreamCertifier:
         store.dirty[:] = False
         kept: set[tuple[int, int]] = set()
         metas: list[ForestMeta] = []
-        sizes = store.sizes.tolist()
-        for bank, size, seed in zip(self.banks, sizes, self._subset_seeds):
-            extraction = bank.extraction
-            kept.update(extraction.forest.edges)
-            metas.append(ForestMeta(size=size, failures=extraction.sample_failures, seed=seed))
+        for bank, size, seed in zip(self.banks, store.sizes.tolist(), self._subset_seeds):
+            kept.update(bank.extraction.forest.edges)
+            metas.append(ForestMeta(size, bank.extraction.sample_failures, seed))
         return Certificate(EdgeSet(self.params.n, kept), self.params, metas, self.measured_bytes())
 
 

@@ -109,13 +109,14 @@ left to decode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import l0
 from .graph import EdgeSet, UnionFind, UpdateEvent, pointer_jump, validate_event
-# sample_cells is not called here; bench/tracer.py times it wherever it is bound
+# sample_cells is not called here; bench/tracer.py times it wherever it is bound, and
+# tests/test_extract_differential.py's reference loop calls forest.sample_cells
 from .l0 import (  # noqa: F401
     INDEX_PRIME,
     PRIME,
@@ -229,15 +230,16 @@ def bank_bytes(n: int, member_count: int, delta: float) -> int:
     return cells * cell_bytes + n * np.dtype(SLOT_DTYPE).itemsize
 
 
-@dataclass
-class ForestExtraction:
-    """Result of one extraction: the forest plus failure bookkeeping.
+class ForestExtraction(NamedTuple):
+    """Result of one extraction, immutable: the forest plus failure bookkeeping.
 
     sample_failures counts the decodes that failed or named a pair outside
     the members. rounds_used counts the rounds that decoded something: a
     round runs only while at least two components are left to decode,
     those that have not decoded EMPTY, so a retired component is never
     decoded again and the rounds stop once all but one are retired.
+    No field can be assigned, but forest is a mutable EdgeSet that the
+    bank keeps too (as its extraction), so edit a copy of it.
     """
 
     forest: EdgeSet

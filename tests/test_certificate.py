@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -28,7 +29,7 @@ from streamvc.errors import (
     SelfLoopError,
     SpaceExceededError,
 )
-from streamvc.forest import bank_bytes, pair_index, round_count
+from streamvc.forest import ForestExtraction, bank_bytes, pair_index, round_count
 from streamvc.graph import (
     EdgeSet,
     UpdateEvent,
@@ -565,9 +566,9 @@ def test_certificate_json_schema_and_roundtrip():
     assert back.params.k == 2
     # a certificate with sample failures and an explicit delta reloads intact
     params = CertParams(n=6, k=2, scale_c=5, seed=22, delta=0.125)
-    cert = build_certificate_offline(complete(6), params)
-    cert.forests[1].failures = 3
-    cert.sketch_bytes = 4096
+    built = build_certificate_offline(complete(6), params)
+    failed = [built.forests[0], built.forests[1]._replace(failures=3), *built.forests[2:]]
+    cert = dataclasses.replace(built, forests=failed, sketch_bytes=4096)
     back = Certificate.from_json(cert.to_json())
     assert back.forests == cert.forests
     assert back.forest_failures == cert.forest_failures == 1
@@ -588,6 +589,9 @@ def test_malformed_certificate_json_names_the_field():
         ({**d, "n": "6"}, "field 'n' must be int"),
         ({**d, "edges": [[0, 1, 2]]}, r"edges record \[0, 1, 2\]"),
         ({**d, "delta": "0.5"}, "field 'delta' must be float or NoneType"),
+        ({**d, "extra": None}, "unknown field 'extra'"),
+        ({**d, "edges": [[0, 0]]}, "field 'edges' must list each edge once"),
+        ({**d, "edges": [[0, 9]]}, "field 'edges' must list each edge once"),
     ]
     for bad, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -612,6 +616,10 @@ def test_certificate_json_counts_and_forest_records_are_checked():
         ({**d, "forests": [[3, -1, 5]] + d["forests"][1:]}, r"forests record \[3, -1, 5\]"),
         ({**d, "forests": d["forests"][1:]}, "field 'forests' gives 35, but .* give 36"),
         ({**d, "r": "36"}, "field 'r' must be int"),
+        ({**d, "edges": [d["edges"][0][::-1]] + d["edges"][1:]}, "field 'edges' must list"),
+        ({**d, "edges": d["edges"][:1] + d["edges"]}, "field 'edges' must list each edge once"),
+        ({**d, "edges": [d["edges"][0][::-1]] + d["edges"]}, "field 'edges' must list"),
+        ({**d, "edges": d["edges"][::-1]}, "field 'edges' must .* in sorted order"),
     ]
     for bad, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -701,7 +709,7 @@ def test_certificate_checks_itself_however_it_is_made():
     with pytest.raises(ValueError, match="field 'forests' gives 35, but its params give 36"):
         Certificate(edges=cert.edges, params=cert.params, forests=cert.forests[1:])
     with pytest.raises(ValueError, match=r"forests record \[7, 0, 5\]"):
-        Certificate(cert.edges, cert.params, [ForestMeta(7, 0, 5)] + cert.forests[1:])
+        Certificate(cert.edges, cert.params, [ForestMeta(7, 0, 5), *cert.forests[1:]])
     with pytest.raises(ValueError, match="measured_sketch_bytes must be >= 0"):
         Certificate(cert.edges, cert.params, cert.forests, sketch_bytes=-1)
     with pytest.raises(ValueError, match="more than its forests' edge budget"):
@@ -710,6 +718,26 @@ def test_certificate_checks_itself_however_it_is_made():
     path = EdgeSet(6, [(v, v + 1) for v in range(5)])
     records = [ForestMeta(6, 0, 1)] + [ForestMeta(0, 0, m.seed) for m in cert.forests[1:]]
     assert Certificate(path, cert.params, records).edges is path
+
+
+def test_certificate_records_are_immutable():
+    certifier = StreamCertifier(CertParams(n=8, k=2, scale_c=1, seed=1, delta=0.1))
+    for e in gen_random_stream(8, 0.5, 0.2, seed=1):
+        certifier.update(e)
+    cert = certifier.finalize()
+    assert type(cert.forests) is tuple  # finalize passes a list
+    records = [
+        (cert, [field.name for field in dataclasses.fields(cert)]),
+        (cert.forests[0], ForestMeta._fields),
+        (certifier.banks[0].extraction, ForestExtraction._fields),
+    ]
+    for record, names in records:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    # a copy with a changed field is built, so checked, anew
+    with pytest.raises(ValueError, match="measured_sketch_bytes must be >= 0, got -1"):
+        dataclasses.replace(cert, sketch_bytes=-1)
 
 
 def test_low_connectivity_edges_captured_smoke():

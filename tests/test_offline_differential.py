@@ -44,8 +44,10 @@ def kruskal_certificate(g: EdgeSet, params: CertParams) -> Certificate:
 
 
 def assert_same_certificate(g: EdgeSet, params: CertParams) -> Certificate:
-    cert = build_certificate_offline(g, params)
-    assert cert.to_json() == kruskal_certificate(g, params).to_json()
+    cert, reference = build_certificate_offline(g, params), kruskal_certificate(g, params)
+    assert cert.to_json() == reference.to_json()
+    for c in (cert, reference):
+        assert Certificate.from_json(c.to_json()).to_json() == c.to_json()
     return cert
 
 
