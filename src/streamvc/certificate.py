@@ -19,14 +19,13 @@ footprint, what its store allocates, is a pure function of its
 parameters, so a space cap is enforced before any cell is allocated; the
 offline builder holds no sketches and takes no space cap.
 
-The offline builder contracts every subset at once, a block of subsets
-at a time, in the round-synchronous Boruvka structure that the sketch
-extraction also follows (Ahn, Guha, McGregor, SODA 2012): each round,
-every component hooks onto the far end of its lowest-weight crossing
-edge, with an edge's weight its rank in g.sorted_edges(). Distinct
-weights make each subset's minimum spanning forest unique, so the pass
-keeps exactly the forest that Kruskal's algorithm keeps when it scans
-the induced edges in sorted order.
+Both build their forests with one routine, graph.spanning_forest: a
+round-synchronous Boruvka pass (Ahn, Guha, McGregor, SODA 2012) that
+keeps exactly the pairs Kruskal's algorithm keeps when it scans them in
+order. The offline builder runs it once per block of subsets over every
+(subset, induced edge) pair, the subsets' graphs side by side, with an
+edge's weight its rank in g.sorted_edges(); each sketch extraction round
+runs it once over the edges the round sampled (streamvc.forest).
 
 Subsets are sampled independently; the banks share the store's sketch
 randomness, seeded with derive_seed(seed, "sketch") (why that is sound:
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import MultiplicityOverflowError, SpaceExceededError
 from .forest import ForestSketchBank, SketchStore, bank_bytes, check_vertex_count
-from .graph import EdgeSet, MultiGraph, UpdateEvent, pointer_jump
+from .graph import EdgeSet, MultiGraph, UpdateEvent, spanning_forest
 from .l0 import INDEX_PRIME
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
@@ -139,10 +138,10 @@ class Certificate:
     sum(max(|V_i| - 1, 0)) edges, the most that r spanning forests over
     the subsets can hold. The check costs O(r), nothing per edge.
 
-    H, edges, is the EdgeSet the certificate was built from, shared and
-    mutable: the certificate neither copies nor freezes it, and an edge
-    added to it later escapes the budget check, so edit a copy
-    (EdgeSet(cert.params.n, cert.edges)), never cert.edges.
+    H, edges, is the certificate's own read-only copy of the EdgeSet it
+    was built from (EdgeSet.frozen, taken without per-edge checks): its
+    pair set is a frozenset, so cert.edges.add raises, and a later edit
+    of the caller's EdgeSet does not reach it.
     """
 
     edges: EdgeSet
@@ -151,6 +150,7 @@ class Certificate:
     sketch_bytes: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", EdgeSet.frozen(self.edges.n, self.edges.edges))
         object.__setattr__(self, "forests", tuple(self.forests))
         n, r = self.params.n, self.params.num_forests
         budget = 0  # sum(max(|V_i| - 1, 0)), summed in the records' one pass
@@ -238,7 +238,7 @@ class Certificate:
         edges = [(u, v) for u, v in _json_records(d, "edges", 2) if 0 <= u < v < params.n]
         forests = [ForestMeta(*record) for record in _json_records(d, "forests", 3)]
         sketch_bytes = _json_field(d, "measured_sketch_bytes", int)
-        cert = cls(EdgeSet(params.n, edges), params, forests, sketch_bytes)
+        cert = cls(EdgeSet.frozen(params.n, edges), params, forests, sketch_bytes)
         _json_canonical(d, cert.to_json_dict())
         return cert
 
@@ -298,45 +298,6 @@ def sample_subsets(params: CertParams) -> list[np.ndarray]:
     return [np.nonzero(row)[0] for _, masks in _subset_blocks(params) for row in masks]
 
 
-def _spanning_forests(earr: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Mask over the rows of earr: the edges of the union of the subsets' forests.
-
-    One Boruvka pass over every (subset, edge) pair of the block: the
-    vertex u of subset f is node f*n + u, so the subsets' graphs are
-    disjoint and contract side by side. Each round, every component with
-    a crossing pair hooks onto the other end of its lowest-rank one; the
-    hooks form 2-cycles only where two components pick the same pair,
-    and the smaller label stays root there. Pointer jumping then
-    relabels every node by its root, and pairs inside a component drop.
-    """
-    b, n = masks.shape
-    f, rank = np.nonzero(masks[:, earr[:, 0]] & masks[:, earr[:, 1]])
-    u, v = f * n + earr[rank, 0], f * n + earr[rank, 1]
-    comp = np.arange(b * n)
-    kept = np.zeros(len(earr), dtype=bool)
-    while True:
-        cu, cv = comp[u], comp[v]
-        live = cu != cv
-        if not live.any():
-            return kept
-        u, v, rank, cu, cv = u[live], v[live], rank[live], cu[live], cv[live]
-        # pairs run in (subset, rank) order, so a component's lowest-rank
-        # crossing pair is the first one it touches
-        best = np.full(b * n, len(rank))
-        pair = np.arange(len(rank))
-        np.minimum.at(best, cu, pair)
-        np.minimum.at(best, cv, pair)
-        hooked = np.nonzero(best < len(rank))[0]
-        chosen = best[hooked]
-        kept[rank[chosen]] = True
-        other = cu[chosen] + cv[chosen] - hooked
-        parent = comp.copy()  # every label is its own parent
-        parent[hooked] = other
-        mutual = (parent[other] == hooked) & (hooked < other)
-        parent[hooked[mutual]] = hooked[mutual]
-        comp = pointer_jump(parent)
-
-
 def max_forests(n: int) -> int:
     """The largest forest count either certifier takes: the paper's count at k = n.
 
@@ -362,10 +323,13 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
     """Exact certificate from the materialized graph (no sketching).
 
     Each subset's forest is the minimum spanning forest of its induced
-    subgraph under edge weight = rank in g.sorted_edges(), found by the
-    blockwise Boruvka pass of _spanning_forests. A forest count above
-    max_forests(n) is rejected before any subset is sampled; the
-    Certificate checks its own records and edge budget.
+    subgraph under edge weight = rank in g.sorted_edges(), the forest
+    Kruskal keeps scanning it in sorted order. One graph.spanning_forest
+    call per block of subsets finds them all: the vertex u of the block's
+    subset f is node f*n + u, so the subsets' graphs are disjoint and
+    contract side by side. A forest count above max_forests(n) is
+    rejected before any subset is sampled; the Certificate checks its own
+    records and edge budget.
     """
     if g.n != params.n:
         raise ValueError(f"graph has n={g.n}, params expect n={params.n}")
@@ -376,8 +340,11 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
     for seeds, masks in _subset_blocks(params):
         sizes = masks.sum(axis=1).tolist()
         metas.extend(ForestMeta(size=s, failures=0, seed=x) for s, x in zip(sizes, seeds))
-        kept |= _spanning_forests(earr, masks)
-    return Certificate(EdgeSet(params.n, earr[kept].tolist()), params, metas, sketch_bytes=0)
+        # every (subset, edge) pair of the block, in (subset, rank) order
+        f, rank = np.nonzero(masks[:, earr[:, 0]] & masks[:, earr[:, 1]])
+        picked, _ = spanning_forest(np.arange(masks.size), *(f[:, None] * params.n + earr[rank]).T)
+        kept[rank[picked]] = True
+    return Certificate(EdgeSet.frozen(params.n, map(tuple, earr[kept].tolist())), params, metas)
 
 
 def physical_memory_bytes() -> int | None:
@@ -483,12 +450,12 @@ class StreamCertifier:
         if dirty:
             dirty[0].extract(*dirty[1:])
         store.dirty[:] = False
-        kept: set[tuple[int, int]] = set()
+        kept = EdgeSet(self.params.n)  # forests hold canonical pairs, so they join unchecked
         metas: list[ForestMeta] = []
         for bank, size, seed in zip(self.banks, store.sizes.tolist(), self._subset_seeds):
-            kept.update(bank.extraction.forest.edges)
+            kept.edges.update(bank.extraction.forest.edges)
             metas.append(ForestMeta(size, bank.extraction.sample_failures, seed))
-        return Certificate(EdgeSet(self.params.n, kept), self.params, metas, self.measured_bytes())
+        return Certificate(kept, self.params, metas, self.measured_bytes())
 
 
 def decide_k_connected(cert: Certificate) -> bool:

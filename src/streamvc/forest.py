@@ -86,10 +86,10 @@ Extraction runs over many banks of one store at once (SketchStore.forests,
 entered through ForestSketchBank.extract): one batched pass per round
 over every (bank, member) row. It starts from the live members, those
 whose round-0 level-0 cell is nonzero; a member that is not live samples
-EMPTY in every round and is never decoded. Each round labels every row
-by its component's root, pointer-jumping the parent array of one
-graph.UnionFind over all rows, and decodes every component still to be
-decoded with one call of l0.sample_rows. Components are not kept summed:
+EMPTY in every round and is never decoded. Every row is labelled by its
+component's smallest row, and each round decodes every component still
+to be decoded, in ascending order of those labels, with one call of
+l0.sample_rows. Components are not kept summed:
 a component's round-r cells are summed afresh from its members' blocks,
 grouped by a stable sort, with np.add.reduceat, counts in int64, index
 sums mod p' and fingerprints mod p (their low 31 and high 30 bits added
@@ -98,11 +98,16 @@ the cells of the component's summed incidence vector, and extraction
 never writes into the store. They are read one repetition at a time: level
 0 and repetition 0 first, then each further repetition only for the
 components no earlier one decoded, so the scratch holds at most one
-repetition's cells of every member. Each bank's sampled edges are then
-unioned in ascending order of the sampling components' roots, the order
-that fixes which edges the forest keeps. A component that decodes EMPTY
-has an empty cut, so it would decode EMPTY in every later round: it is
-not decoded again unless a union, which takes a false decode, absorbs it.
+repetition's cells of every member. One graph.spanning_forest call over
+every bank's sampled edges then keeps those that Kruskal's algorithm
+keeps when it scans them in ascending order of the sampling component's
+smallest member (a bank's rows run in member order), the order that
+fixes which edge of a sampled cycle the forest drops, and relabels the
+joined components, each again by its smallest row; a component is
+marked to be decoded wherever a row's label changed. A component that
+decodes EMPTY has an empty cut, so it would decode EMPTY in every later
+round: it is not decoded again unless a join, which takes a false
+decode, absorbs it.
 A bank stops once the rounds run out or at most one of its components is
 left to decode.
 """
@@ -114,7 +119,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import l0
-from .graph import EdgeSet, UnionFind, UpdateEvent, pointer_jump, validate_event
+from .graph import EdgeSet, UpdateEvent, spanning_forest, validate_event
 # sample_cells is not called here; bench/tracer.py times it wherever it is bound, and
 # tests/test_extract_differential.py's reference loop calls forest.sample_cells
 from .l0 import (  # noqa: F401
@@ -238,8 +243,8 @@ class ForestExtraction(NamedTuple):
     round runs only while at least two components are left to decode,
     those that have not decoded EMPTY, so a retired component is never
     decoded again and the rounds stop once all but one are retired.
-    No field can be assigned, but forest is a mutable EdgeSet that the
-    bank keeps too (as its extraction), so edit a copy of it.
+    No field can be assigned, and forest is read-only (EdgeSet.frozen):
+    its pair set is a frozenset, so forest.add raises.
     """
 
     forest: EdgeSet
@@ -433,11 +438,14 @@ class SketchStore:
 
         One ForestExtraction per bank, in the order given. Contraction
         rounds run over every (bank, member) row at once, each bank's
-        members numbered from its first row (module docstring,
-        extraction): every round sums and decodes each bank's components
-        still to be decoded with one l0.sample_rows call, then unions
-        each bank's sampled edges in ascending order of the sampling
-        components' roots. Sample failures (and any decode whose
+        members numbered from its first row and each row labelled by its
+        component's smallest row (module docstring, extraction): every
+        round sums and decodes each bank's components still to be decoded
+        with one l0.sample_rows call, then one graph.spanning_forest call
+        keeps each bank's sampled edges that Kruskal keeps scanning them
+        in ascending order of the sampling components' smallest rows, and
+        joins their components. Each forest is read-only
+        (EdgeSet.frozen). Sample failures (and any decode whose
         endpoints fall outside its bank's members, which the fingerprint
         makes astronomically unlikely) are counted, not fatal. Reads the
         cells and never writes them.
@@ -453,16 +461,13 @@ class SketchStore:
         fields = self.counts, self.index_sums, self.fingerprints
         # read at each root: its component is decoded in the next round
         decode_next = np.any([a[base] != 0 for a in fields], axis=0)
-        uf = UnionFind(rows)
+        label = np.arange(rows)  # each row's component, named by its smallest row
         edges: list[list[tuple[int, int]]] = [[] for _ in banks]
         failures = np.zeros(len(banks), dtype=np.int64)
         rounds_used = np.zeros(len(banks), dtype=np.int64)
         running = np.ones(len(banks), dtype=bool)
         passes = repetition_cells(self.reps, self.levels)
-        joined: list[int] = []  # a row of each union of the last round
         for r in range(self.rounds):
-            label = pointer_jump(np.array(uf.parent, dtype=np.int64))
-            decode_next[label[joined]] = True
             roots = decode_next & (label == np.arange(rows))
             running &= np.bincount(row_bank[roots], minlength=len(banks)) >= 2
             if not running.any():
@@ -495,18 +500,22 @@ class SketchStore:
             failures += np.bincount(comp_bank[found == ROW_FAIL], minlength=len(banks))
             decoded = found >= 0
             u, v = pairs_from_indices(found[decoded], self.n)
-            at, owner = banks[comp_bank[decoded]], comp_bank[decoded]
-            su, sv = self._slot[u, at], self._slot[v, at]
+            owner = comp_bank[decoded]
+            su, sv = self._slot[u, banks[owner]], self._slot[v, banks[owner]]
             inside = (su >= 0) & (sv >= 0)
             failures += np.bincount(owner[~inside], minlength=len(banks))
-            ends = first[owner] + su, first[owner] + sv  # the rows of each pair's endpoints
-            joined = []
-            for a, b, i, x, y in zip(*(z[inside].tolist() for z in (*ends, owner, u, v))):
-                if uf.union(a, b):
-                    edges[i].append((x, y))
-                    joined.append(a)
+            owner, u, v, su, sv = (x[inside] for x in (owner, u, v, su, sv))
+            # the rows of each sampled pair's endpoints, scanned in the order of comps
+            joins, joined = spanning_forest(label, first[owner] + su, first[owner] + sv)
+            for i, x, y in zip(*(z[joins].tolist() for z in (owner, u, v))):
+                edges[i].append((x, y))
+            smallest = np.full(rows, rows)
+            np.minimum.at(smallest, joined, np.arange(rows))
+            joined = smallest[joined]
+            decode_next[joined[joined != label]] = True  # every component a join made
+            label = joined
         return [
-            ForestExtraction(EdgeSet(self.n, e), f, used)
+            ForestExtraction(EdgeSet.frozen(self.n, e), f, used)
             for e, f, used in zip(edges, failures.tolist(), rounds_used.tolist())
         ]
 

@@ -4,12 +4,15 @@ A dynamic stream is a sequence of UpdateEvent tuples whose running edge
 multiplicities must stay non-negative at every prefix. Replaying a stream
 yields a MultiGraph; collapsing multiplicities yields the simple EdgeSet
 that connectivity computations operate on (parallel edges never change
-vertex connectivity).
+vertex connectivity). spanning_forest is the one Boruvka pass that both
+certifiers build their spanning forests with.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import InvalidVertexError, NegativeMultiplicityError, SelfLoopError
 
@@ -108,6 +111,16 @@ class EdgeSet:
         for u, v in edges:
             self.add(u, v)
 
+    @classmethod
+    def frozen(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
+        """A read-only EdgeSet of pairs already canonical (u < v, both below n), unchecked.
+
+        Its pair set is a frozenset, so add raises AttributeError.
+        """
+        graph = cls(n)
+        graph.edges = frozenset(pairs)
+        return graph
+
     def add(self, u: int, v: int) -> None:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
@@ -188,13 +201,47 @@ class UnionFind:
         return True
 
 
-def pointer_jump(parent):
-    """Every node's root under a parent array (a numpy int array), by pointer jumping."""
+def spanning_forest(comp, u, v):
+    """The node pairs Kruskal keeps when it scans them in order, and the labels they leave.
+
+    comp (a numpy int array) labels every node by a node of its component
+    that labels itself; u and v (int arrays) are the pairs, in weight
+    order. Returns (kept, comp): a bool mask, True for each pair that
+    joins two components when Kruskal's algorithm scans the pairs in that
+    order from the partition comp (so a pair inside a component, or a
+    repeat of a kept pair, drops), and the labels of the components the
+    kept pairs leave, in the same form (which node of a joined component
+    labels it is left to the hooks).
+
+    Boruvka rounds: every component with a crossing pair hooks onto the
+    other end of its first one. A pair's position is its weight, and
+    distinct weights make the minimum spanning forest unique, so the
+    hooked pairs are the ones Kruskal keeps. Two components hook onto
+    each other only where both pick the same pair, and the smaller label
+    stays root there; pointer jumping then relabels every node by its
+    root, and pairs inside a component drop.
+    """
+    kept = np.zeros(len(u), dtype=bool)
+    pair = np.arange(len(u))  # the pairs that may still cross, in scan order
     while True:
-        jumped = parent[parent]
-        if (jumped == parent).all():
-            return parent
-        parent = jumped
+        cu, cv = comp[u[pair]], comp[v[pair]]
+        live = cu != cv
+        if not live.any():
+            return kept, comp
+        pair, cu, cv = pair[live], cu[live], cv[live]
+        first = np.full(len(comp), len(u))  # each component's first crossing pair
+        np.minimum.at(first, cu, pair)
+        np.minimum.at(first, cv, pair)
+        hooked = np.flatnonzero(first < len(u))
+        chosen = first[hooked]
+        kept[chosen] = True
+        other = comp[u[chosen]] + comp[v[chosen]] - hooked
+        parent = comp.copy()  # a non-root's parent is its root
+        # two components hook onto each other iff both pick the same pair: the smaller stays root
+        parent[hooked] = np.where((first[other] == chosen) & (hooked < other), hooked, other)
+        comp = parent[parent]
+        while (comp != parent).any():
+            parent, comp = comp, comp[comp]
 
 
 def component_partition(vertices: Iterable[int], edges: Iterable[tuple[int, int]]):

@@ -717,7 +717,7 @@ def test_certificate_checks_itself_however_it_is_made():
     # a budget met exactly is kept: a path's edges, one subset holding all of it
     path = EdgeSet(6, [(v, v + 1) for v in range(5)])
     records = [ForestMeta(6, 0, 1)] + [ForestMeta(0, 0, m.seed) for m in cert.forests[1:]]
-    assert Certificate(path, cert.params, records).edges is path
+    assert Certificate(path, cert.params, records).edges == path
 
 
 def test_certificate_records_are_immutable():
@@ -738,6 +738,20 @@ def test_certificate_records_are_immutable():
     # a copy with a changed field is built, so checked, anew
     with pytest.raises(ValueError, match="measured_sketch_bytes must be >= 0, got -1"):
         dataclasses.replace(cert, sketch_bytes=-1)
+    # H is the certificate's own read-only copy, so no edge can be added past
+    # the budget: complete(30) at C=0.1 gives 28 edges against a budget of 28
+    g = complete(30)
+    offline = build_certificate_offline(g, CertParams(n=30, k=2, scale_c=0.1, seed=1))
+    assert offline.edges is not g and offline.edges.is_subset_of(g)
+    for built in cert, offline, Certificate.from_json(offline.to_json()):
+        with pytest.raises(AttributeError):
+            built.edges.add(0, 1)
+    with pytest.raises(AttributeError):
+        certifier.banks[0].extraction.forest.add(0, 1)
+    path = EdgeSet(30, [(0, 1)])
+    held = Certificate(path, offline.params, offline.forests)
+    path.add(1, 2)
+    assert held.edges == EdgeSet(30, [(0, 1)])
 
 
 def test_low_connectivity_edges_captured_smoke():

@@ -1,8 +1,10 @@
 """Differential test: ForestSketchBank.extract against the extraction loop it replaced.
 
 reference_extract is an earlier loop, kept as it was apart from taking the
-bank as an argument and calling forest's sample_cells through the module;
-it keeps its own copy of the _merged helper it used. sample_cells is a
+bank as an argument, calling forest's sample_cells through the module and
+scanning each round's components in ascending order of their smallest
+member, the order in which extract's forest keeps a round's sampled
+edges; it keeps its own copy of the _merged helper it used. sample_cells is a
 one-row call of l0.sample_rows, the decoder the batched extraction calls,
 so a decoder patched at l0.sample_rows reaches both loops. Every round the
 reference rebuilds the component map with UnionFind.find over every
@@ -63,8 +65,7 @@ def reference_extract(bank: ForestSketchBank) -> ForestExtraction:
         cells = [b[:, r] for b in blocks]
         live = ((cells[0][:, 0] != 0) | (cells[1][:, 0] != 0) | (cells[2][:, 0] != 0)).tolist()
         sampled: list[tuple[int, int]] = []
-        for root in sorted(comps):
-            positions = comps[root]
+        for positions in sorted(comps.values()):  # by smallest member
             if len(positions) == 1:
                 if not live[positions[0]]:
                     continue
@@ -219,6 +220,43 @@ def test_decodes_joining_a_component_that_decoded_empty(monkeypatch):
     got = bank.extract()
     assert got.forest.edges == {(0, 1), (0, 2), (0, 3), (4, 5)}
     assert (got.sample_failures, got.rounds_used) == (6, 3)
+    assert_same_extraction(bank)
+
+
+def test_a_round_keeps_the_edges_of_the_components_with_the_smaller_smallest_members(
+    monkeypatch,
+):
+    # on the 6-cycle 0-1-2-3-5-4-0, chosen decodes form {1, 2} and {4, 5} in
+    # round 0 and join 0 to {4, 5} in round 1, whose union-by-rank root would
+    # be 4. In round 2 the components {0, 4, 5}, {1, 2} and {3} sample a
+    # 3-cycle. Scanned by smallest member, 0, 1, 3, the forest keeps the
+    # first two edges, (0, 1) and (2, 3), and drops (3, 5); scanned by those
+    # roots, 1, 3, 4, it would drop (0, 1)
+    n = 6
+    bank = ForestSketchBank(n, range(n), 0.05, seed=13)  # 4 rounds
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 5), (4, 5), (0, 4)]:
+        bank.update(UpdateEvent(u, v, 1))
+
+    def by_member(choice: dict[int, tuple[int, int] | None]):
+        """Replace a decode with the pair chosen for its component's decoding endpoint."""
+
+        def replace(outcome):
+            u, v = pair_from_index(outcome.index, n)
+            pair = choice[u if outcome.sign > 0 else v]
+            return FAIL if pair is None else NonZeroIndex(pair_index(*pair, n), 1)
+
+        return replace
+
+    rounds = [
+        {0: None, 1: (1, 2), 2: (1, 2), 3: None, 4: (4, 5), 5: (4, 5)},
+        {0: (0, 4), 1: None, 2: None, 3: None, 4: None, 5: None},
+        {0: (0, 1), 4: (0, 1), 5: (0, 1), 1: (2, 3), 2: (2, 3), 3: (3, 5)},
+    ]
+    for r, choice in enumerate(rounds):
+        patch_decoder(monkeypatch, bank, {r}, by_member(choice))
+    got = bank.extract()
+    assert got.forest.edges == {(1, 2), (4, 5), (0, 4), (0, 1), (2, 3)}
+    assert (got.sample_failures, got.rounds_used) == (5, 3)
     assert_same_extraction(bank)
 
 

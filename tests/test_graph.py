@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamvc.errors import (
     InvalidVertexError,
@@ -12,6 +15,7 @@ from streamvc.graph import (
     UpdateEvent,
     component_partition,
     replay_stream,
+    spanning_forest,
 )
 from streamvc.instances import gen_random_stream, legal_shuffle
 
@@ -152,6 +156,42 @@ def test_union_find_basics():
     assert not uf.union(1, 0)
     assert uf.find(0) == uf.find(1)
     assert uf.find(2) != uf.find(0)
+
+
+@st.composite
+def partitions_and_pairs(draw):
+    """A node count, a partition of the nodes into groups and a list of node pairs.
+
+    Pairs may repeat, join a node to itself or lie inside one group.
+    """
+    size = draw(st.integers(1, 24))
+    group = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    node = st.integers(0, size - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * size))
+    return size, group, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions_and_pairs(), st.randoms(use_true_random=False))
+def test_spanning_forest_keeps_what_kruskal_keeps(case, rng):
+    size, group, pairs = case
+    # label each group by one of its nodes, drawn at random
+    members: dict[int, list[int]] = {}
+    for x, g in enumerate(group):
+        members.setdefault(g, []).append(x)
+    label = {g: rng.choice(nodes) for g, nodes in members.items()}
+    comp = np.array([label[g] for g in group], dtype=np.int64)
+    uf = UnionFind(size)
+    for x, g in enumerate(group):
+        uf.union(x, label[g])
+    want = [uf.union(a, b) for a, b in pairs]  # Kruskal over the pairs in order
+    u, v = (np.array([pair[end] for pair in pairs], dtype=np.int64) for end in (0, 1))
+    kept, joined = spanning_forest(comp, u, v)
+    assert kept.tolist() == want
+    assert (joined[joined] == joined).all()  # every label labels itself
+    assert component_partition(range(size), enumerate(joined.tolist())) == (
+        component_partition(range(size), ((x, uf.find(x)) for x in range(size)))
+    )
 
 
 def test_component_partition():
