@@ -358,9 +358,9 @@ def physical_memory_bytes() -> int | None:
 class StreamCertifier:
     """Single-pass dynamic-stream certifier: one sketch bank per subset.
 
-    The banks' cells live in one SketchStore (three flat arrays, int32
-    counts and index sums and int64 fingerprints, and one sketch battery
-    per round, see streamvc.forest), each bank a row of it and
+    The banks' cells live in one SketchStore (one flat array of 16-byte
+    records, each an int32 count and index sum and an int64 fingerprint,
+    and one sketch battery per round, see streamvc.forest), each bank a row of it and
     self.banks[i] a ForestSketchBank view of row i. Each event is folded
     into every bank that holds both endpoints in one vectorized pass,
     which marks those banks dirty in the store. Each bank view keeps its
@@ -416,7 +416,7 @@ class StreamCertifier:
         self.live_multiplicity = 0
 
     def measured_bytes(self) -> int:
-        """Bytes of the sketch state: the nbytes of the store's cell arrays and _slot."""
+        """Bytes of the sketch state: the nbytes of the store's cell records and _slot."""
         return self._sketch_bytes
 
     def update(self, e: UpdateEvent) -> "StreamCertifier":

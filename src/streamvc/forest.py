@@ -10,9 +10,11 @@ randomness consumed by earlier merge decisions never biases later
 samples; components at least halve per successful round, so
 ceil(log2 n) + 1 rounds suffice.
 
-State layout. The cells of every bank live in one SketchStore: three flat
-arrays, one per field, in CELL_DTYPES: int32 counts, int32 index sums and
-int64 fingerprints, 16 bytes a cell. A count is a signed sum of live edge
+State layout. The cells of every bank live in one SketchStore: one flat
+array of 16-byte records of CELL_DTYPE, each an int32 count, an int32
+index sum and an int64 fingerprint, so one cell is one read and one
+write. The store's counts, index_sums and fingerprints are field views of
+that array, not copies. A count is a signed sum of live edge
 multiplicities, so the certifier keeps their total below p' = 2^31 - 1
 (StreamCertifier.update), which also keeps every nonzero count invertible
 mod p'. Index sums are residues mod p' (l0.INDEX_PRIME): a one-sparse
@@ -32,14 +34,14 @@ ForestSketchBank is a view of one row: built directly, it makes a store
 that holds just that bank.
 
 Bytes. A bank costs what the store allocates for it (bank_bytes): its
-cells, at the 16 bytes of one cell in CELL_DTYPES, plus its column of
-the _slot membership table, n entries of SLOT_DTYPE. That is affine in
-the member count, so the sum over the banks is the total member count
-times one member's cells plus one _slot column per bank, exactly the
-nbytes of the store's four arrays: a cap on that sum, checked before
-the store exists, caps what it allocates. The store's dirty mask, one
-bool per bank, is bookkeeping for queries, not a cell array, and is
-not charged.
+cells, at the itemsize of one CELL_DTYPE record (16 bytes), plus its
+column of the _slot membership table, n entries of SLOT_DTYPE. That is
+affine in the member count, so the sum over the banks is the total
+member count times one member's cells plus one _slot column per bank,
+exactly the nbytes of the store's two arrays, its records and _slot: a
+cap on that sum, checked before the store exists, caps what it
+allocates. The store's dirty mask, one bool per bank, is bookkeeping
+for queries, not a cell array, and is not charged.
 
 Randomness. The store owns one seed and derives one sketch battery per
 round, sketch_seeds(derive_seed(seed, "round", r), reps): repetition
@@ -80,8 +82,10 @@ the forest short of a component's edges.
 
 An event is folded into all the banks holding both endpoints in one
 vectorized pass: one hash over [round, rep], one z^index per round, one
-pattern of the reached cells' offsets within a member's rounds, and one
-fancy-indexed add per field over both endpoints of every hit bank.
+pattern of the reached cells' offsets within a member's rounds, one
+fancy-indexed gather of the records it reaches over both endpoints of
+every hit bank, three field updates on the gathered copy and one
+scatter back.
 Extraction runs over many banks of one store at once (SketchStore.forests,
 entered through ForestSketchBank.extract): one batched pass per round
 over every (bank, member) row. It starts from the live members, those
@@ -140,9 +144,10 @@ from .l0 import (  # noqa: F401
 )
 from .seeds import derive_seed
 
-# what SketchStore allocates: one array per cell field (count, index sum,
-# fingerprint) and the _slot table; bank_bytes charges the same dtypes
-CELL_DTYPES = (np.int32, np.int32, np.int64)
+# what SketchStore allocates: one record per cell (count, index sum mod
+# INDEX_PRIME, fingerprint mod PRIME) and the _slot table; bank_bytes
+# charges the same dtypes
+CELL_DTYPE = np.dtype([("count", np.int32), ("index_sum", np.int32), ("fingerprint", np.int64)])
 SLOT_DTYPE = np.int64
 # largest n the store takes: the largest whose n (n - 1) / 2 pair indices
 # are all below INDEX_PRIME, so an index-sum residue names one pair (65 536)
@@ -163,9 +168,9 @@ def check_vertex_count(n: int) -> None:
         )
 
 
-def _mod_once(u: np.ndarray, p: int) -> np.ndarray:
-    """u mod p in place, for an unsigned array below 2p: u - p wraps around where u < p."""
-    return np.minimum(u, u - u.dtype.type(p), out=u)
+def _mod_once(u: np.ndarray, p: int, out: np.ndarray) -> None:
+    """u mod p into out, for an unsigned array u below 2p: u - p wraps around where u < p."""
+    np.minimum(u, u - u.dtype.type(p), out=out)
 
 
 def pair_index(u: int, v: int, n: int) -> int:
@@ -225,14 +230,13 @@ def bank_bytes(n: int, member_count: int, delta: float) -> int:
     """Bytes SketchStore allocates for a bank, a pure function of its parameters.
 
     member_count * rounds blocks of block_cells(reps, levels) cells at the
-    16 bytes of one cell in CELL_DTYPES, plus the bank's column of the
-    _slot table, n entries of SLOT_DTYPE. Affine in member_count: every
-    bank of an n-vertex store has the same reps.
+    itemsize of one CELL_DTYPE record, 16 bytes, plus the bank's column of
+    the _slot table, n entries of SLOT_DTYPE. Affine in member_count:
+    every bank of an n-vertex store has the same reps.
     """
     reps = repetition_count(sketch_delta(n, delta))
     cells = member_count * round_count(n) * block_cells(reps, level_count(pair_universe(n)))
-    cell_bytes = sum(np.dtype(d).itemsize for d in CELL_DTYPES)
-    return cells * cell_bytes + n * np.dtype(SLOT_DTYPE).itemsize
+    return cells * CELL_DTYPE.itemsize + n * np.dtype(SLOT_DTYPE).itemsize
 
 
 class ForestExtraction(NamedTuple):
@@ -325,10 +329,12 @@ class ForestSketchBank:
 
 
 class SketchStore:
-    """The cells of many forest banks in three flat arrays, one per field.
+    """The cells of many forest banks in one flat array of records, `cells`.
 
-    16 bytes a cell: an int32 count, an int32 index sum mod 2^31 - 1 and
-    an int64 fingerprint mod 2^61 - 1 (CELL_DTYPES). n may be at most
+    One 16-byte CELL_DTYPE record a cell: an int32 count, an int32 index
+    sum mod 2^31 - 1 and an int64 fingerprint mod 2^61 - 1. counts,
+    index_sums and fingerprints are field views of cells, so a write
+    through either shows in the other. n may be at most
     MAX_N = 65 536, the largest whose pair indices stay below 2^31 - 1.
     masks is a [banks, n] boolean array whose row b marks the members of
     bank b. Every sketch has reps repetitions, repetition_count of
@@ -338,7 +344,7 @@ class SketchStore:
     its members and the offset of its [member, round, cell] cells, handed
     out by blocks(b); ForestSketchBank is a view of one row. See the
     module docstring for the layout, the seeding and the bytes (each
-    bank's bank_bytes, so a store's nbytes is their sum). Cells are
+    bank's bank_bytes, so the nbytes of cells and _slot is their sum). Cells are
     allocated with np.zeros and never pre-touched, so pages of cells no
     event reaches stay unbacked. dirty[b] marks bank b as changed since
     its owner last cleared the marks: it starts True for every bank and
@@ -370,9 +376,8 @@ class SketchStore:
         self._member_stride = self.rounds * self._width
         self._offset = (np.cumsum(self.sizes) - self.sizes) * self._member_stride
         total = int(self.sizes.sum()) * self._member_stride
-        self.counts, self.index_sums, self.fingerprints = (
-            np.zeros(total, dtype=d) for d in CELL_DTYPES
-        )
+        self.cells = np.zeros(total, dtype=CELL_DTYPE)
+        self.counts, self.index_sums, self.fingerprints = (self.cells[f] for f in CELL_DTYPE.names)
         self.dirty = np.ones(len(masks), dtype=bool)
 
     def round_seed(self, r: int) -> int:
@@ -405,12 +410,15 @@ class SketchStore:
         Every bank in hit must hold both endpoints, and lo < hi. Every
         block has one width, so the cells an event reaches within a
         member's rounds are one pattern of offsets, worked out once and
-        added to the base of each endpoint in every hit bank. Each cell
-        is a reduced residue and gains a reduced addend, the residue of
-        +-delta * idx mod INDEX_PRIME in its index sum and of +-delta *
-        z^idx mod PRIME in its fingerprint, so one compare-subtract
-        (_mod_once) reduces each sum. The only writer of cells, so it
-        marks every hit bank dirty.
+        added to the base of each endpoint in every hit bank. Those
+        records are gathered once, their three fields updated in the
+        gathered copy, and scattered back once; no cell is reached twice,
+        so the scatter loses no update. Each index sum and fingerprint is
+        a reduced residue and gains a reduced addend, the residue of
+        +-delta * idx mod INDEX_PRIME (through a uint32 view) and of
+        +-delta * z^idx mod PRIME (through a uint64 view), so one
+        compare-subtract (_mod_once) reduces each sum. The only writer of
+        cells, so it marks every hit bank dirty.
         """
         self.dirty[hit] = True
         idx = pair_index(lo, hi, self.n)
@@ -427,11 +435,13 @@ class SketchStore:
         pattern = np.flatnonzero(to_block(np.arange(self.levels) <= depth[:, :, None]))
         members = np.stack((self._slot[lo, hit], self._slot[hi, hit]))
         cells = (self._offset[hit] + members * self._member_stride)[:, :, None] + pattern
-        self.counts[cells] += np.array([delta, -delta])[:, None, None]
-        isums, fps = self.index_sums, self.fingerprints
-        isums[cells] = _mod_once(isums[cells].view(np.uint32) + idx_step[:, None, None], INDEX_PRIME)
-        fp_sum = fps[cells].view(np.uint64) + fp_step[:, None, pattern // self._width]
-        fps[cells] = _mod_once(fp_sum, PRIME)
+        records = self.cells[cells]
+        records["count"] += np.array([delta, -delta])[:, None, None]
+        isums = records["index_sum"].view(np.uint32)
+        _mod_once(isums + idx_step[:, None, None], INDEX_PRIME, out=isums)
+        fps = records["fingerprint"].view(np.uint64)
+        _mod_once(fps + fp_step[:, None, pattern // self._width], PRIME, out=fps)
+        self.cells[cells] = records
 
     def forests(self, banks) -> list[ForestExtraction]:
         """Spanning forests of the induced subgraphs of the given banks, in one pass.
@@ -448,7 +458,8 @@ class SketchStore:
         (EdgeSet.frozen). Sample failures (and any decode whose
         endpoints fall outside its bank's members, which the fingerprint
         makes astronomically unlikely) are counted, not fatal. Reads the
-        cells and never writes them.
+        cells and never writes them: the live test and each read gather
+        whole records once and take the three fields from that copy.
         """
         banks = np.asarray(banks, dtype=np.int64)
         sizes = self.sizes[banks]
@@ -458,9 +469,9 @@ class SketchStore:
         # each row's round-0 level-0 cell
         member = np.arange(rows) - first[row_bank]
         base = self._offset[banks][row_bank] + member * self._member_stride
-        fields = self.counts, self.index_sums, self.fingerprints
         # read at each root: its component is decoded in the next round
-        decode_next = np.any([a[base] != 0 for a in fields], axis=0)
+        live = self.cells[base]
+        decode_next = np.any([live[f] != 0 for f in CELL_DTYPE.names], axis=0)
         label = np.arange(rows)  # each row's component, named by its smallest row
         edges: list[list[tuple[int, int]]] = [[] for _ in banks]
         failures = np.zeros(len(banks), dtype=np.int64)
@@ -487,7 +498,8 @@ class SketchStore:
                 chosen[todo] = True
                 picked = chosen[member_comp]
                 at = member_cell[picked][:, None] + np.arange(cells.start, cells.stop)
-                block = tuple(a[at] for a in fields)
+                records = self.cells[at]
+                block = tuple(records[f] for f in CELL_DTYPE.names)
                 if len(at) == len(todo):  # one member each
                     return block
                 starts = np.flatnonzero(np.diff(member_comp[picked], prepend=-1))

@@ -97,7 +97,7 @@ def replay_stream(events: Iterable[UpdateEvent], n: int) -> MultiGraph:
 class EdgeSet:
     """Simple undirected graph on vertices 0..n-1, stored as sorted pairs.
 
-    Equal to another EdgeSet with the same n and edges.
+    Equal to another EdgeSet, frozen or not, with the same n and edges.
     """
 
     n: int
@@ -115,11 +115,18 @@ class EdgeSet:
     def frozen(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
         """A read-only EdgeSet of pairs already canonical (u < v, both below n), unchecked.
 
-        Its pair set is a frozenset, so add raises AttributeError.
+        Its pair set is a frozenset, so add raises AttributeError, and it
+        is a _FrozenEdgeSet, so assigning n or edges raises AttributeError.
         """
         graph = cls(n)
         graph.edges = frozenset(pairs)
+        graph.__class__ = _FrozenEdgeSet
         return graph
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
 
     def add(self, u: int, v: int) -> None:
         if u == v:
@@ -172,6 +179,16 @@ class EdgeSet:
 
     def __repr__(self) -> str:
         return f"EdgeSet(n={self.n}, edges={len(self.edges)})"
+
+
+class _FrozenEdgeSet(EdgeSet):
+    """What EdgeSet.frozen returns: n and edges cannot be assigned.
+
+    A subclass, so that a mutable EdgeSet pays no __setattr__ of its own.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name} of a frozen EdgeSet")
 
 
 class UnionFind:

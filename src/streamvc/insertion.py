@@ -51,7 +51,11 @@ class InsertionCertifier:
         if kept:
             self.retained.add(u, v)
             self._net.add_edge(u, v)
-            assert len(self.retained) <= 2 * self.k * self.n, "retained-set bound broken"
+            if len(self.retained) > 2 * self.k * self.n:
+                raise RuntimeError(
+                    f"retained set has {len(self.retained)} edges, past its bound 2kn = "
+                    f"{2 * self.k * self.n}"
+                )
         return kept
 
     def offer_event(self, e: UpdateEvent) -> bool:

@@ -236,7 +236,8 @@ def _lowest_witness_flow(
         flow = net.max_flow(s, t, kappa)
         if flow < kappa:
             kappa, cut = flow, net.residual_cut()
-            assert len(cut) == kappa, "residual cut size mismatch"
+            if len(cut) != kappa:
+                raise RuntimeError(f"residual cut has {len(cut)} vertices, not the flow {kappa}")
             if kappa <= floor:
                 break
     return kappa, cut

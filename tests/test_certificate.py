@@ -396,11 +396,22 @@ def test_measured_bytes_is_the_sum_of_bank_bytes(n, k):
 
 @pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (16, 2), (32, 2)])
 def test_store_bytes_are_within_the_accounted_bytes(n, k):
+    """The store allocates one array of 16-byte records, which fold writes, and _slot.
+
+    The three cell fields are views of that array, and the two arrays'
+    nbytes are the accounted bytes.
+    """
     certifier = StreamCertifier(CertParams(n=n, k=k, scale_c=5, seed=25 + n * k, delta=0.05))
     store = certifier.store
-    held = store.counts.nbytes + store.index_sums.nbytes + store.fingerprints.nbytes
-    held += store._slot.nbytes
-    assert 0 < held == certifier.measured_bytes()
+    fields = store.counts, store.index_sums, store.fingerprints
+    assert all(np.shares_memory(a, store.cells) for a in fields)
+    assert store.cells.dtype.itemsize == 16
+    assert 0 < store.cells.nbytes + store._slot.nbytes == certifier.measured_bytes()
+    for e in gen_random_stream(n, 0.5, 0.2, seed=26 + n * k):
+        certifier.update(e)
+    # the events reached the records, and the field views read them
+    for a, name in zip(fields, ("count", "index_sum", "fingerprint")):
+        assert a.any() and np.array_equal(a, store.cells[name])
 
 
 @pytest.mark.parametrize("n, k", [(8, 1), (8, 3), (16, 2), (32, 2)])
@@ -746,8 +757,17 @@ def test_certificate_records_are_immutable():
     for built in cert, offline, Certificate.from_json(offline.to_json()):
         with pytest.raises(AttributeError):
             built.edges.add(0, 1)
+        # nor can the pair set or the vertex count be swapped wholesale
+        with pytest.raises(AttributeError):
+            built.edges.edges = frozenset(g.edges)
+        with pytest.raises(AttributeError):
+            built.edges.n = 31
+    assert len(offline.edges) == 28 and offline.edges.n == 30
+    assert Certificate.from_json(offline.to_json()) == offline
     with pytest.raises(AttributeError):
         certifier.banks[0].extraction.forest.add(0, 1)
+    with pytest.raises(AttributeError):
+        certifier.banks[0].extraction.forest.edges = frozenset()
     path = EdgeSet(30, [(0, 1)])
     held = Certificate(path, offline.params, offline.forests)
     path.add(1, 2)

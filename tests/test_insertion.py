@@ -175,3 +175,14 @@ def test_construction_allocates_nothing_per_vertex():
     assert elapsed < 0.1
     assert peak < 1 << 16
     assert len(ins.finalize()) == 0
+
+
+def test_retained_set_bound_is_checked_without_asserts(monkeypatch):
+    """A rule that keeps every edge breaks the 2kn bound, and offer raises, also under -O."""
+    monkeypatch.setattr("streamvc.insertion.max_vertex_disjoint_paths", lambda *a, **kw: 0)
+    certifier = InsertionCertifier(8, 1)
+    edges = complete(8).sorted_edges()  # 28 edges against a bound of 16
+    for u, v in edges[:16]:
+        assert certifier.offer(u, v)
+    with pytest.raises(RuntimeError, match="past its bound 2kn = 16"):
+        certifier.offer(*edges[16])

@@ -322,3 +322,10 @@ def test_removal_disconnects():
     assert removal_disconnects(EdgeSet(3, [(0, 1)]), set())
     assert removal_disconnects(g, {0, 1, 2})  # one vertex left
     assert not removal_disconnects(g, {0})  # 1-2-3 stays connected
+
+
+def test_residual_cut_size_is_checked_without_asserts(monkeypatch):
+    """A residual cut whose size is not the flow raises, also under -O."""
+    monkeypatch.setattr(_SplitNetwork, "residual_cut", lambda self: set())
+    with pytest.raises(RuntimeError, match="residual cut has 0 vertices, not the flow 1"):
+        vertex_connectivity(path_graph(4))
