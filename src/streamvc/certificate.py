@@ -13,8 +13,11 @@ Both an offline builder (exact forests of the materialized graph) and a
 single-pass dynamic-stream certifier (one sketch bank per subset, all
 banks' cells in one flat SketchStore) are provided; with the same seed
 they sample the same subsets and, when every extraction succeeds, induce
-the same per-subset component partitions. Both reject a forest count
-above max_forests(n) before sampling. The dynamic certifier's byte
+the same per-subset component partitions. Both reject an n above
+forest.MAX_N and a forest count above max_forests(n) before sampling.
+Subset i is a pure function of (n, k, seed, i), so a certificate keeps
+only each subset's size and sample failures, and Certificate.from_json
+derives the sizes and seeds from the params. The dynamic certifier's byte
 footprint, what its store allocates, is a pure function of its
 parameters, so a space cap is enforced before any cell is allocated; the
 offline builder holds no sketches and takes no space cap.
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import MultiplicityOverflowError, SpaceExceededError
 from .forest import ForestSketchBank, SketchStore, bank_bytes, check_vertex_count
-from .graph import EdgeSet, MultiGraph, UpdateEvent, spanning_forest
+from .graph import EdgeSet, MultiGraph, UpdateEvent, spanning_forest, validate_event
 from .l0 import INDEX_PRIME
 from .oracle import is_k_connected, max_vertex_disjoint_paths
 from .seeds import derive_seed, subset_mask
@@ -117,11 +120,16 @@ class CertParams:
 
 
 class ForestMeta(NamedTuple):
-    """Per-forest record: subset size, sample failures, subset seed (immutable)."""
+    """Per-forest record: subset size and sample failures (immutable).
+
+    Subset i is a pure function of (n, k, seed, i), so its seed,
+    params.subset_seed(i), is not stored, and only failures is run data;
+    size is kept because every certificate check sums it. to_json_dict
+    writes the record as [size, failures, params.subset_seed(i)].
+    """
 
     size: int
     failures: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,9 @@ class Certificate:
     size <= n and failures >= 0; there is one record per forest
     (params.num_forests); sketch_bytes >= 0; and H has at most
     sum(max(|V_i| - 1, 0)) edges, the most that r spanning forests over
-    the subsets can hold. The check costs O(r), nothing per edge.
+    the subsets can hold. The check costs O(r), nothing per edge, so it
+    does not resample the subsets: that a record's size is its subset's
+    is the builders' doing, and from_json derives the sizes itself.
 
     H, edges, is the certificate's own read-only copy of the EdgeSet it
     was built from (EdgeSet.frozen, taken without per-edge checks): its
@@ -152,7 +162,7 @@ class Certificate:
     def __post_init__(self):
         object.__setattr__(self, "edges", EdgeSet.frozen(self.edges.n, self.edges.edges))
         object.__setattr__(self, "forests", tuple(self.forests))
-        n, r = self.params.n, self.params.num_forests
+        n = self.params.n
         budget = 0  # sum(max(|V_i| - 1, 0)), summed in the records' one pass
         for m in self.forests:
             if not (0 <= m.size <= n and m.failures >= 0):
@@ -161,10 +171,7 @@ class Certificate:
                     f"0 <= size <= n and failures >= 0"
                 )
             budget += m.size - 1 if m.size else 0
-        if len(self.forests) != r:
-            raise ValueError(
-                f"certificate field 'forests' gives {len(self.forests)}, but its params give {r}"
-            )
+        _check_record_count(len(self.forests), self.params)
         if self.sketch_bytes < 0:
             raise ValueError(
                 f"certificate measured_sketch_bytes must be >= 0, got {self.sketch_bytes}"
@@ -186,9 +193,11 @@ class Certificate:
     def to_json_dict(self) -> dict:
         """Lossless JSON form: params, edges and per-forest records.
 
-        r, forest_failures and sum_Vi are derived from the params and the
-        forest records and written for readers that do not recompute
-        them; edges are written once each as [u, v] with u < v, sorted.
+        Forest i's record is [size, failures, params.subset_seed(i)]: its
+        seed is derived from the params, not stored. r, forest_failures
+        and sum_Vi are derived from the params and the forest records and
+        written for readers that do not recompute them; edges are written
+        once each as [u, v] with u < v, sorted.
         """
         p = self.params
         return {
@@ -200,7 +209,7 @@ class Certificate:
             "seed": p.seed,
             "delta": p.delta,
             "edges": [list(e) for e in self.edges.sorted_edges()],
-            "forests": [list(m) for m in self.forests],
+            "forests": [[*m, p.subset_seed(i)] for i, m in enumerate(self.forests)],
             "forest_failures": self.forest_failures,
             "sum_Vi": self.sum_subset_sizes,
             "measured_sketch_bytes": self.sketch_bytes,
@@ -215,13 +224,20 @@ class Certificate:
 
         A file loads iff it is the canonical JSON of the certificate it
         describes: after the schema, each field's type and each record's
-        shape are checked, the certificate is built from the params,
-        edges, forest records and sketch bytes (and checks itself, as a
-        built one does), and its to_json_dict() must equal the file's
-        object. So the derived r, forest_failures and sum_Vi must match,
-        edges must be listed once each as [u, v] with 0 <= u < v < n in
-        sorted order, no other key may appear, and json.loads of
-        to_json(from_json(text)) equals json.loads(text).
+        shape are checked. A header n above forest.MAX_N, which neither
+        builder takes, is refused before any subset is sampled. The
+        forest records are read as the builders make them: their count
+        must be the params' r, and each subset's size is derived from the
+        params (sampled FOREST_BLOCK subsets at a time, as the builders
+        do), so only failures is read from a record; the first record
+        whose size or seed is not its subset's is refused by name. The
+        certificate is then built from the params, edges, those records
+        and sketch bytes (and checks itself, as a built one does), and
+        its to_json_dict() must equal the file's object. So the derived
+        r, forest_failures and sum_Vi must match, edges must be listed
+        once each as [u, v] with 0 <= u < v < n in sorted order, no other
+        key may appear, and json.loads of to_json(from_json(text)) equals
+        json.loads(text).
         """
         d = json.loads(text)
         schema = d.get("schema") if isinstance(d, dict) else None
@@ -234,9 +250,20 @@ class Certificate:
             seed=_json_field(d, "seed", int),
             delta=_json_field(d, "delta", float, type(None)),
         )
+        check_vertex_count(params.n)
         # an edge outside 0 <= u < v < n is left out here, so _json_canonical refuses it
         edges = [(u, v) for u, v in _json_records(d, "edges", 2) if 0 <= u < v < params.n]
-        forests = [ForestMeta(*record) for record in _json_records(d, "forests", 3)]
+        records = _json_records(d, "forests", 3)
+        _check_record_count(len(records), params)
+        sizes = [size for masks in _subset_blocks(params) for size in masks.sum(axis=1).tolist()]
+        forests = [ForestMeta(size, failures) for size, (_, failures, _) in zip(sizes, records)]
+        for i, record in enumerate(records):
+            want = [*forests[i], params.subset_seed(i)]
+            if record != want:
+                raise ValueError(
+                    f"certificate forests record {record} (forest {i}) must be {want}: "
+                    "its params give each subset's size and seed"
+                )
         sketch_bytes = _json_field(d, "measured_sketch_bytes", int)
         cert = cls(EdgeSet.frozen(params.n, edges), params, forests, sketch_bytes)
         _json_canonical(d, cert.to_json_dict())
@@ -283,19 +310,19 @@ def _json_canonical(d: dict, canonical: dict) -> None:
 
 
 def _subset_blocks(params: CertParams):
-    """The r sampled subsets, FOREST_BLOCK at a time: (seeds, [b, n] masks).
+    """The r sampled subsets' [b, n] membership masks, FOREST_BLOCK rows at a time.
 
-    Each block's masks come from one subset_mask call over its seeds.
+    Each block's masks come from one subset_mask call over its subset seeds.
     """
     r = params.num_forests
     for lo in range(0, r, FOREST_BLOCK):
         seeds = [params.subset_seed(i) for i in range(lo, min(lo + FOREST_BLOCK, r))]
-        yield seeds, subset_mask(np.array(seeds, dtype=np.uint64), params.n, params.k)
+        yield subset_mask(np.array(seeds, dtype=np.uint64), params.n, params.k)
 
 
 def sample_subsets(params: CertParams) -> list[np.ndarray]:
     """The r sampled vertex subsets, as sorted member-id arrays."""
-    return [np.nonzero(row)[0] for _, masks in _subset_blocks(params) for row in masks]
+    return [np.nonzero(row)[0] for masks in _subset_blocks(params) for row in masks]
 
 
 def max_forests(n: int) -> int:
@@ -307,6 +334,14 @@ def max_forests(n: int) -> int:
     not on the host.
     """
     return max(1, math.ceil(PAPER_SCALE * n * n * math.log(n)))
+
+
+def _check_record_count(count: int, params: CertParams) -> None:
+    """Reject a certificate whose forest record count is not params.num_forests."""
+    if count != params.num_forests:
+        raise ValueError(
+            f"certificate field 'forests' gives {count}, but its params give {params.num_forests}"
+        )
 
 
 def _check_forest_count(params: CertParams) -> None:
@@ -327,19 +362,20 @@ def build_certificate_offline(g: EdgeSet, params: CertParams) -> Certificate:
     Kruskal keeps scanning it in sorted order. One graph.spanning_forest
     call per block of subsets finds them all: the vertex u of the block's
     subset f is node f*n + u, so the subsets' graphs are disjoint and
-    contract side by side. A forest count above max_forests(n) is
-    rejected before any subset is sampled; the Certificate checks its own
-    records and edge budget.
+    contract side by side. An n above forest.MAX_N (as the dynamic
+    certifier does, so from_json can refuse one) and a forest count above
+    max_forests(n) are rejected before any subset is sampled; the
+    Certificate checks its own records and edge budget.
     """
     if g.n != params.n:
         raise ValueError(f"graph has n={g.n}, params expect n={params.n}")
+    check_vertex_count(params.n)
     _check_forest_count(params)
     earr = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
     kept = np.zeros(len(earr), dtype=bool)
     metas: list[ForestMeta] = []
-    for seeds, masks in _subset_blocks(params):
-        sizes = masks.sum(axis=1).tolist()
-        metas.extend(ForestMeta(size=s, failures=0, seed=x) for s, x in zip(sizes, seeds))
+    for masks in _subset_blocks(params):
+        metas.extend(ForestMeta(size=s, failures=0) for s in masks.sum(axis=1).tolist())
         # every (subset, edge) pair of the block, in (subset, rank) order
         f, rank = np.nonzero(masks[:, earr[:, 0]] & masks[:, earr[:, 1]])
         picked, _ = spanning_forest(np.arange(masks.size), *(f[:, None] * params.n + earr[rank]).T)
@@ -369,12 +405,13 @@ class StreamCertifier:
 
     An n above forest.MAX_N, which the store cannot take, and a forest
     count above max_forests(n) (as the offline builder does) are rejected
-    before any subset is sampled. The measured byte footprint, the sum of
-    the banks' bank_bytes (one _slot column per bank and one fixed share
-    per member, since every bank has the same block width), is what the
-    store allocates and a pure function of the parameters, so the space
-    cap is checked before any cell is allocated, block by block while
-    the subsets are sampled: set-up stops at the first block whose
+    before any subset is sampled. The measured byte footprint,
+    measured_bytes(), is the nbytes of what the store allocates, and it
+    equals the sum of the banks' bank_bytes (one _slot column per bank
+    and one fixed share per member, since every bank has the same block
+    width), a pure function of the parameters; so the space cap is
+    checked on that sum before any cell is allocated, block by block
+    while the subsets are sampled: set-up stops at the first block whose
     running total exceeds it. Without an explicit cap the cap is the host's physical memory
     (physical_memory_bytes): the host's RAM, not a container's or
     cgroup's memory limit, and no cap where the OS does not report it.
@@ -398,28 +435,39 @@ class StreamCertifier:
         slot_bytes = bank_bytes(n, 0, delta)
         member_bytes = bank_bytes(n, 1, delta) - slot_bytes
         blocks: list[np.ndarray] = []
-        self._subset_seeds: list[int] = []
-        self._sketch_bytes = 0
-        for seeds, masks in _subset_blocks(params):
+        subsets = total_bytes = 0
+        for masks in _subset_blocks(params):
             blocks.append(masks)
-            self._subset_seeds += seeds
-            self._sketch_bytes += int(masks.sum()) * member_bytes + len(masks) * slot_bytes
-            if space_cap_bytes is not None and self.measured_bytes() > space_cap_bytes:
+            subsets += len(masks)
+            total_bytes += int(masks.sum()) * member_bytes + len(masks) * slot_bytes
+            if space_cap_bytes is not None and total_bytes > space_cap_bytes:
                 raise SpaceExceededError(
                     f"sketch state exceeds cap {space_cap_bytes}: the first "
-                    f"{len(self._subset_seeds)} subsets take {self.measured_bytes()} bytes"
+                    f"{subsets} subsets take {total_bytes} bytes"
                 )
         sketch_seed = derive_seed(params.seed, "sketch")
         self.store = SketchStore(n, np.concatenate(blocks), delta, sketch_seed)
-        self.banks = [ForestSketchBank.view(self.store, b) for b in range(len(self._subset_seeds))]
+        self.banks = [ForestSketchBank.view(self.store, b) for b in range(subsets)]
         self._graph = MultiGraph(n)
         self.live_multiplicity = 0
 
     def measured_bytes(self) -> int:
-        """Bytes of the sketch state: the nbytes of the store's cell records and _slot."""
-        return self._sketch_bytes
+        """Bytes of the sketch state: the nbytes of the store's cell records and _slot.
+
+        It equals the sum of the banks' bank_bytes, which set-up checks
+        against the space cap before the store allocates either array.
+        """
+        return self.store.cells.nbytes + self.store._slot.nbytes
 
     def update(self, e: UpdateEvent) -> "StreamCertifier":
+        """Fold one event into every bank that holds both endpoints.
+
+        An illegal event (an endpoint out of range, a self-loop, a delta
+        other than +1 or -1, a deletion below multiplicity 0) and an
+        insertion past MAX_LIVE_MULTIPLICITY raise before any state
+        changes; the event is validated first, so each raises its own error.
+        """
+        validate_event(e, self.params.n)
         if self.live_multiplicity + e.delta > MAX_LIVE_MULTIPLICITY:
             raise MultiplicityOverflowError(
                 f"insertion would push the live multiplicity past {MAX_LIVE_MULTIPLICITY}, "
@@ -452,9 +500,9 @@ class StreamCertifier:
         store.dirty[:] = False
         kept = EdgeSet(self.params.n)  # forests hold canonical pairs, so they join unchecked
         metas: list[ForestMeta] = []
-        for bank, size, seed in zip(self.banks, store.sizes.tolist(), self._subset_seeds):
+        for bank, size in zip(self.banks, store.sizes.tolist()):
             kept.edges.update(bank.extraction.forest.edges)
-            metas.append(ForestMeta(size, bank.extraction.sample_failures, seed))
+            metas.append(ForestMeta(size, bank.extraction.sample_failures))
         return Certificate(kept, self.params, metas, self.measured_bytes())
 
 

@@ -137,14 +137,13 @@ def _certify(args) -> int:
 
 
 def _oracle(args) -> int:
-    n, _, events = streamio.read_stream(args.stream)
-    check_vertex_count(n)
-    g = replay_stream(events, n).support()
+    n, k, _, support = _read(args)
     if args.k is not None:
-        verdict = is_k_connected(g, args.k)
-        print(json.dumps({"command": "oracle", "n": n, "k": args.k, "is_k_connected": verdict}))
+        verdict = is_k_connected(support(), k)
+        print(json.dumps({"command": "oracle", "n": n, "k": k, "is_k_connected": verdict}))
     else:
-        print(json.dumps({"command": "oracle", "n": n, "vertex_connectivity": vertex_connectivity(g)}))
+        connectivity = vertex_connectivity(support())
+        print(json.dumps({"command": "oracle", "n": n, "vertex_connectivity": connectivity}))
     return 0
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -490,6 +491,26 @@ def test_live_multiplicity_overflow_is_refused_before_any_cell_changes():
         certifier.update(UpdateEvent(u, v, -1))
 
 
+@pytest.mark.parametrize(
+    "event, error",
+    [
+        (UpdateEvent(0, 1, 2**40), ValueError),
+        (UpdateEvent(0, 9, 2**40), InvalidVertexError),
+        (UpdateEvent(0, 0, 2**40), SelfLoopError),
+    ],
+)
+def test_illegal_event_is_refused_as_itself_before_the_multiplicity_guard(event, error):
+    # each delta would also pass MAX_LIVE_MULTIPLICITY; the event's own fault is named
+    certifier = StreamCertifier(CertParams(n=6, k=2, seed=1, delta=0.1))
+    certifier.update(UpdateEvent(2, 3, 1))
+    cells = certifier.store.cells.copy()
+    with pytest.raises(error) as err:
+        certifier.update(event)
+    assert type(err.value) is error
+    assert certifier.live_multiplicity == 1
+    assert np.array_equal(certifier.store.cells, cells)
+
+
 def test_store_refuses_n_whose_index_sums_could_overflow():
     # an index-sum residue names one pair only while every pair index is below INDEX_PRIME
     n = forest.MAX_N
@@ -618,27 +639,64 @@ def test_certificate_json_counts_and_forest_records_are_checked():
     params = CertParams(n=6, k=2, scale_c=5, seed=22)
     d = build_certificate_offline(complete(6), params).to_json_dict()
     assert d["r"] == len(d["forests"]) == 36 and d["forest_failures"] == 0
+    size, _, seed = d["forests"][0]
+    negative = rf"forests record \[{size}, -1\] must have 0 <= size <= n and failures >= 0"
     cases = [
         ({**d, "r": 999, "forest_failures": 7}, "field 'r' gives 999, but .* give 36"),
         ({**d, "forest_failures": 7}, "field 'forest_failures' gives 7, but .* give 0"),
         ({**d, "sum_Vi": d["sum_Vi"] + 1}, f"field 'sum_Vi' gives {d['sum_Vi'] + 1}"),
-        ({**d, "forests": [[-3, -1, 5]]}, r"forests record \[-3, -1, 5\] must have 0 <= size"),
+        ({**d, "forests": [[-3, -1, 5]]}, "field 'forests' gives 1, but its params give 36"),
         ({**d, "forests": [[7, 0, 5]] + d["forests"][1:]}, r"forests record \[7, 0, 5\]"),
         ({**d, "forests": [[3, -1, 5]] + d["forests"][1:]}, r"forests record \[3, -1, 5\]"),
         ({**d, "forests": d["forests"][1:]}, "field 'forests' gives 35, but .* give 36"),
+        ({**d, "forests": [[size, -1, seed]] + d["forests"][1:]}, negative),
         ({**d, "r": "36"}, "field 'r' must be int"),
         ({**d, "edges": [d["edges"][0][::-1]] + d["edges"][1:]}, "field 'edges' must list"),
         ({**d, "edges": d["edges"][:1] + d["edges"]}, "field 'edges' must list each edge once"),
         ({**d, "edges": [d["edges"][0][::-1]] + d["edges"]}, "field 'edges' must list"),
         ({**d, "edges": d["edges"][::-1]}, "field 'edges' must .* in sorted order"),
     ]
+    # a record's size and seed are its subset's, so a changed one is named, sums and all
+    for i, change in [(5, [0, 0, 1]), (9, [1, 0, 0]), (20, [-d["forests"][20][0], 0, 0])]:
+        want = d["forests"][i]
+        record = [want[0] + change[0], want[1], want[2] ^ change[2]]
+        assert record != want and 0 <= record[0] <= params.n
+        forests = d["forests"][:i] + [record] + d["forests"][i + 1 :]
+        bad = {**d, "forests": forests, "sum_Vi": sum(f[0] for f in forests)}
+        cases.append((bad, re.escape(f"forests record {record} (forest {i}) must be {want}")))
+    # complete(30) at C=0.1 has 2 forests of sizes 13 and 17, an edge budget of 28: raising
+    # both sizes to 30 would make room for 58 edges of K30 in H
+    g30 = complete(30)
+    d30 = build_certificate_offline(g30, CertParams(n=30, k=2, scale_c=0.1, seed=1)).to_json_dict()
+    assert [f[0] for f in d30["forests"]] == [13, 17] and len(d30["edges"]) == 28
+    seeds30 = [f[2] for f in d30["forests"]]
+    forged = {**d30, "forests": [[30, 0, x] for x in seeds30], "sum_Vi": 60}
+    forged["edges"] = [list(e) for e in g30.sorted_edges()[:58]]
+    named = f"forests record [30, 0, {seeds30[0]}] (forest 0) must be [13, 0, {seeds30[0]}]"
+    cases.append((forged, re.escape(named)))
     for bad, message in cases:
         with pytest.raises(ValueError, match=message):
             Certificate.from_json(json.dumps(bad))
     # a record with failures and the counts that go with it is read back
-    failed = {**d, "forests": [[4, 2, 5]] + d["forests"][1:], "forest_failures": 1}
-    failed["sum_Vi"] = sum(size for size, _, _ in failed["forests"])
-    assert Certificate.from_json(json.dumps(failed)).to_json_dict() == failed
+    failed = {**d, "forests": [[size, 2, seed]] + d["forests"][1:], "forest_failures": 1}
+    loaded = Certificate.from_json(json.dumps(failed))
+    assert loaded.forests[0] == ForestMeta(size, 2)
+    assert json.loads(loaded.to_json()) == failed
+
+
+def test_from_json_refuses_n_above_max_n_before_sampling(monkeypatch):
+    # neither builder samples subsets of more than MAX_N vertices, so no file describes them
+    def never(*args):
+        raise AssertionError("subset_mask called")
+
+    cert = build_certificate_offline(complete(6), CertParams(n=6, k=2, scale_c=5, seed=22))
+    d = cert.to_json_dict()
+    monkeypatch.setattr(certificate, "subset_mask", never)
+    with pytest.raises(ValueError, match=f"exceeds {forest.MAX_N}"):
+        build_certificate_offline(EdgeSet(forest.MAX_N + 1), CertParams(n=forest.MAX_N + 1, k=2))
+    for n in (forest.MAX_N + 1, 10**12):
+        with pytest.raises(ValueError, match=f"n={n} exceeds {forest.MAX_N}"):
+            Certificate.from_json(json.dumps({**d, "n": n}))
 
 
 @pytest.mark.parametrize(
@@ -707,11 +765,14 @@ def test_from_json_refuses_an_edge_budget_overrun_and_negative_sketch_bytes():
     d = build_certificate_offline(complete(8), params).to_json_dict()
     with pytest.raises(ValueError, match="measured_sketch_bytes must be >= 0, got -1"):
         Certificate.from_json(json.dumps({**d, "measured_sketch_bytes": -1}))
-    # 13 edges from 9 forests, but the records leave room for one edge
-    assert len(d["edges"]) == 13 and len(d["forests"]) == 9
-    d["forests"] = [[2, 0, d["forests"][0][2]]] + [[0, 0, seed] for _, _, seed in d["forests"][1:]]
-    d["sum_Vi"] = 2
-    with pytest.raises(ValueError, match=r"has 13 edges, more than .* budget .* = 1"):
+    # complete(30) at C=0.1: its true records leave room for 28 edges, H's own 28,
+    # so one more edge of the graph overruns the budget
+    g = complete(30)
+    d = build_certificate_offline(g, CertParams(n=30, k=2, scale_c=0.1, seed=1)).to_json_dict()
+    assert len(d["edges"]) == 28 and len(d["forests"]) == 2
+    extra = next(e for e in g.sorted_edges() if list(e) not in d["edges"])
+    d["edges"] = sorted(d["edges"] + [list(extra)])
+    with pytest.raises(ValueError, match=r"has 29 edges, more than .* budget .* = 28"):
         Certificate.from_json(json.dumps(d))
 
 
@@ -719,16 +780,18 @@ def test_certificate_checks_itself_however_it_is_made():
     cert = build_certificate_offline(complete(6), CertParams(n=6, k=2, scale_c=5, seed=22))
     with pytest.raises(ValueError, match="field 'forests' gives 35, but its params give 36"):
         Certificate(edges=cert.edges, params=cert.params, forests=cert.forests[1:])
-    with pytest.raises(ValueError, match=r"forests record \[7, 0, 5\]"):
-        Certificate(cert.edges, cert.params, [ForestMeta(7, 0, 5), *cert.forests[1:]])
+    with pytest.raises(ValueError, match=r"forests record \[7, 0\]"):
+        Certificate(cert.edges, cert.params, [ForestMeta(7, 0), *cert.forests[1:]])
     with pytest.raises(ValueError, match="measured_sketch_bytes must be >= 0"):
         Certificate(cert.edges, cert.params, cert.forests, sketch_bytes=-1)
-    with pytest.raises(ValueError, match="more than its forests' edge budget"):
-        Certificate(complete(6), cert.params, [ForestMeta(0, 0, m.seed) for m in cert.forests])
-    # a budget met exactly is kept: a path's edges, one subset holding all of it
-    path = EdgeSet(6, [(v, v + 1) for v in range(5)])
-    records = [ForestMeta(6, 0, 1)] + [ForestMeta(0, 0, m.seed) for m in cert.forests[1:]]
-    assert Certificate(path, cert.params, records).edges == path
+    # complete(30) at C=0.1: forests of sizes 13 and 17 leave room for 28 edges
+    small = build_certificate_offline(complete(30), CertParams(n=30, k=2, scale_c=0.1, seed=1))
+    assert small.forests == (ForestMeta(13, 0), ForestMeta(17, 0))
+    with pytest.raises(ValueError, match="has 435 edges, more than its forests' edge budget"):
+        Certificate(complete(30), small.params, small.forests)
+    # a budget met exactly is kept: a path's 28 edges
+    path = EdgeSet(30, [(v, v + 1) for v in range(28)])
+    assert Certificate(path, small.params, small.forests).edges == path
 
 
 def test_certificate_records_are_immutable():

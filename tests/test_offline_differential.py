@@ -33,9 +33,8 @@ def kruskal_certificate(g: EdgeSet, params: CertParams) -> Certificate:
     metas = []
     edges = g.sorted_edges()
     for i in range(params.num_forests):
-        seed = params.subset_seed(i)
-        mask = subset_mask(seed, params.n, params.k)
-        metas.append(ForestMeta(size=int(mask.sum()), failures=0, seed=seed))
+        mask = subset_mask(params.subset_seed(i), params.n, params.k)
+        metas.append(ForestMeta(size=int(mask.sum()), failures=0))
         uf = UnionFind(params.n)
         for u, v in edges:
             if mask[u] and mask[v] and uf.union(u, v):
